@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-json stdfs-smoke distfault-smoke fmt vet fmt-check ci
+.PHONY: all build test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke fmt vet fmt-check ci
 
 all: build
 
@@ -84,21 +84,14 @@ bench-avail:
 	$(GO) run ./cmd/distbench -nodes 8 -servers 3 -requests 32 -deadline 5ms -retry "max=3,base=200us" -net-faults "kill:server0@20ms"
 	$(GO) run ./cmd/distbench -nodes 8 -servers 3 -requests 32 -deadline 5ms -retry "max=3,base=200us" -net-faults "kill:server0@20ms" -disks 3 -raid raid1 -faults "fail:1@0s,fail:2@0s" -spares 2 -rebuild 1,2 -curve=false
 
-# Machine-readable bench trajectory: the hot-path microbenchmarks
-# (including the engine-only miss/evict row and the per-record trace
-# decode/replay rows), the trace-format bytes/record table, the
-# shard/worker scaling, the write-back ablation, the shared-queue
-# contention rows, and the degraded-mode fault_recovery ablation of
-# the simulated-parallel replay, and the distributed availability
-# ablation. CI uploads the file as an artifact;
-# the committed copy tracks the trajectory in-repo and doubles as the
-# regression baseline — the run fails if an engine-only guarded row
-# (cache_warm_read_64k, cache_miss_evict, trace_decode_v1 or
-# trace_decode_v2) regresses more than 25% against it. A failed run
-# leaves the baseline untouched and writes the regressed report to
-# BENCH_9.json.failed.json.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_9.json -baseline BENCH_9.json
+# The benchmark harness is a nested module (repro/bench, replace
+# repro => ../) that `go build ./...` and `go test ./...` at the root
+# never compile. It links against internal/ signatures and parses CLI
+# output lines, so vet and test it here; bench/README.md is the one
+# documented way to measure.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # End-to-end smoke for the io/fs facade: the example runs unmodified
 # stdlib code (fs.WalkDir, fs.ReadFile, archive/tar) against the
@@ -128,4 +121,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build vet fmt-check test race bench bench-cold bench-contention bench-trace bench-faults bench-avail stdfs-smoke distfault-smoke
+ci: build vet fmt-check test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke

@@ -124,6 +124,14 @@ func TestCLITracebenchConcurrentAndPaced(t *testing.T) {
 	if !strings.Contains(out, "replayed") {
 		t.Fatalf("paced output:\n%s", out)
 	}
+	// Only serial replay reads the stamps; the other modes must refuse
+	// -paced rather than print unpaced numbers.
+	for _, mode := range []string{"-concurrent", "-stream", "-sweep"} {
+		out, err := exec.Command(bin, "-app", "Pgrep", "-paced", mode, "-filesize", "67108864", "-requests", "40").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-paced") {
+			t.Errorf("-paced %s accepted (err %v):\n%s", mode, err, out)
+		}
+	}
 }
 
 func TestCLIQcrdsim(t *testing.T) {

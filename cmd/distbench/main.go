@@ -34,7 +34,7 @@ func main() {
 		requests  = flag.Int("requests", 64, "requests per client node")
 		workers   = flag.Int("workers", 4, "worker threads per server")
 		wan       = flag.Bool("wan", false, "use the WAN interconnect instead of the LAN")
-		deadline  = flag.Duration("deadline", 0, "client RPC deadline; 0 keeps the fault-free fast path")
+		deadline  = flag.Duration("deadline", 0, "client RPC deadline; 0 = never expires (static client-to-replica routing)")
 		retry     = flag.String("retry", "", `failover retry policy, e.g. "max=3,base=200us"`)
 		netFaults = flag.String("net-faults", "", `fabric fault plan, e.g. "kill:server0@20ms,drop:link1@10ms+5ms"`)
 		disks     = flag.Int("disks", 0, "simulated disks in each server's array (0 = config default)")

@@ -45,7 +45,7 @@ func main() {
 		concurrent = flag.Bool("concurrent", false, "replay with one goroutine per traced process")
 		stream     = flag.Bool("stream", false, "replay out of core: decode records straight off the trace stream into per-process worker queues (implies concurrent; private disk-queue mode only)")
 		dump       = flag.Bool("dump", false, "print the trace in text form instead of replaying")
-		paced      = flag.Bool("paced", false, "honour the trace's wall-clock stamps as think time")
+		paced      = flag.Bool("paced", false, "honour the trace's wall-clock stamps as think time (serial replay only)")
 		shards     = flag.Int("shards", 1, "page-cache lock stripes (power of two); 0 = derive from GOMAXPROCS")
 		sweep      = flag.Bool("sweep", false, "replay concurrently at shard counts 1,2,4,...,auto and report scaling")
 		workers    = flag.Int("workers", 0, "worker processes for -app Parallel (0 = its default)")
@@ -94,6 +94,9 @@ func main() {
 	}
 	if len(rebuildMembers) > 0 && !*concurrent {
 		fatal(fmt.Errorf("-rebuild runs alongside -concurrent replay; add -concurrent"))
+	}
+	if *paced && (*concurrent || *stream || *sweep) {
+		fatal(fmt.Errorf("-paced charges think time on serial replay only; drop -concurrent/-stream/-sweep"))
 	}
 	if *spares < 0 {
 		fatal(fmt.Errorf("-spares must be non-negative"))
@@ -184,7 +187,7 @@ func main() {
 		if *real {
 			fatal(fmt.Errorf("-sweep replays against the simulator; drop -real"))
 		}
-		if err := sweepShards(name, tr, *fileSize, *paced, *writeback, policy); err != nil {
+		if err := sweepShards(name, tr, *fileSize, *writeback, policy); err != nil {
 			fatal(err)
 		}
 		return
@@ -364,7 +367,7 @@ func resolveShards(n int) int {
 // count, and prints wall-clock scaling alongside the simulated-parallel
 // numbers: elapsed (max over lanes), summed worker time, and the overlap
 // factor — the lock-striping + virtual-time ablation as a command.
-func sweepShards(name string, tr *trace.Trace, fileSize int64, paced bool, writeback int, policy simdisk.SchedPolicy) error {
+func sweepShards(name string, tr *trace.Trace, fileSize int64, writeback int, policy simdisk.SchedPolicy) error {
 	max := buffercache.AutoShards()
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "shards\twall time\tspeedup\tsim elapsed\tworker time\toverlap\tcache hit rate")
@@ -380,7 +383,6 @@ func sweepShards(name string, tr *trace.Trace, fileSize int64, paced bool, write
 		}
 		rp := tracesim.NewReplayer(store)
 		rp.SampleFileSize = fileSize
-		rp.Paced = paced
 		start := time.Now()
 		rep, err := rp.ReplayConcurrent(name, tr)
 		if err != nil {

@@ -341,10 +341,8 @@ func ExperimentsWith(opts Options) []Experiment {
 				// hash and fail over; with a net-fault plan the fabric
 				// loses nodes mid-run.
 				cfg.Deadline = current.RPCDeadline
-				if cfg.Deadline > 0 {
-					cfg.Retry = current.Retry
-					cfg.NetFaults = current.NetFaults
-				}
+				cfg.Retry = current.Retry
+				cfg.NetFaults = current.NetFaults
 				results, err := distbench.Sweep(cfg, distbench.NodeSweep)
 				if err != nil {
 					return Result{}, err

@@ -66,7 +66,7 @@ type Options struct {
 	// member rebuilds after device faults. Zero keeps ad-hoc spares.
 	Spares int
 	// RPCDeadline is the distributed benchmark's client RPC deadline;
-	// zero keeps the fault-free fast path.
+	// zero means attempts never expire (static client-to-replica routing).
 	RPCDeadline time.Duration
 	// NetFaults schedules node kills and link-drop windows on the
 	// distributed benchmark's fabric. Requires RPCDeadline > 0.

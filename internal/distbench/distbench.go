@@ -48,13 +48,16 @@ type Config struct {
 	// Deadline is each client's RPC deadline: a request whose response
 	// was lost is declared failed Deadline after the attempt was issued,
 	// and the client fails over to the next replica on the consistent-
-	// hash ring. Zero keeps the fault-free fast path (static round-robin
-	// assignment), byte-identical to the pre-fault benchmark.
+	// hash ring. Zero means attempts never expire: with no failure
+	// detection to act on, the ring is not used and client i keeps the
+	// static replica i % Servers, byte-identical to the pre-fault
+	// benchmark.
 	Deadline time.Duration
 	// Retry bounds failover: up to Max retries per request, with
 	// simulated-time exponential backoff Base<<attempt between the
 	// deadline expiry and the next attempt — the same semantics as
-	// fsim's session recovery. Used only when Deadline > 0.
+	// fsim's session recovery. Nothing expires without a Deadline, so it
+	// is never consulted then.
 	Retry fsim.RetryPolicy
 	// NetFaults schedules node kills and link-drop windows on the
 	// fabric. Symbolic targets resolve against the run's node layout:
@@ -67,7 +70,7 @@ type Config struct {
 	// Store.Spares and a Store.Faults plan that kills the members).
 	RebuildMembers []int
 	// CurveBuckets is the availability curve's resolution (default 20
-	// buckets over the makespan) on the fault-aware path.
+	// buckets over the makespan).
 	CurveBuckets int
 }
 
@@ -138,8 +141,8 @@ type Result struct {
 	// NetBusy is the fabric's total NIC busy time.
 	NetBusy time.Duration
 
-	// The fault-aware path (Deadline > 0) fills the availability story;
-	// all zero on the fault-free fast path.
+	// The availability story; the counters stay zero on a fabric without
+	// faults.
 	//
 	// TimedOut counts deadline expiries (one per lost attempt), Retried
 	// counts the failover attempts issued after them, Recovered counts
@@ -221,110 +224,14 @@ func buildCluster(cfg Config) ([]*serverState, *netsim.Network, error) {
 	return servers, net, nil
 }
 
-// Run executes one distributed load and returns its result. With a
-// Deadline configured it runs the fault-aware path (consistent-hash
-// routing, failover, availability curve); otherwise the fault-free fast
-// path below, byte-identical to the pre-fault benchmark.
+// Run executes one distributed load and returns its result. Every run
+// goes through the one event loop in fault.go; the Deadline only
+// selects how clients route (see Config.Deadline).
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	if cfg.Deadline > 0 {
-		return runFaultAware(cfg)
-	}
-	servers, net, err := buildCluster(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	nServers := len(servers)
-
-	t0 := time.Unix(0, 0)
-	// Per-client next-issue times and remaining request counts.
-	nextIssue := make([]time.Time, cfg.Nodes)
-	remaining := make([]int, cfg.Nodes)
-	issued := make([]int, cfg.Nodes)
-	for i := range nextIssue {
-		nextIssue[i] = t0
-		remaining[i] = cfg.RequestsPerNode
-	}
-
-	var latencies metrics.Sample
-	var serverIO metrics.Sample
-	var completed int64
-	end := t0
-
-	for {
-		// Pick the client with the earliest next-issue time.
-		client := -1
-		for i := range nextIssue {
-			if remaining[i] == 0 {
-				continue
-			}
-			if client == -1 || nextIssue[i].Before(nextIssue[client]) {
-				client = i
-			}
-		}
-		if client == -1 {
-			break
-		}
-		issueTime := nextIssue[client]
-		spec := cfg.Corpus[(client+issued[client])%len(cfg.Corpus)]
-		srv := servers[client%nServers]
-
-		// Request message crosses the fabric.
-		reqArrive, err := net.Send(issueTime, client, srv.node, cfg.RequestBytes)
-		if err != nil {
-			return Result{}, err
-		}
-		// Earliest-free worker on the client's server picks it up.
-		w := 0
-		for i := range srv.workerFree {
-			if srv.workerFree[i].Before(srv.workerFree[w]) {
-				w = i
-			}
-		}
-		start := reqArrive
-		if srv.workerFree[w].After(start) {
-			start = srv.workerFree[w]
-		}
-		// Server-side file I/O through the managed runtime.
-		ioTime, err := serveFile(srv.rt, srv.store, spec.Name)
-		if err != nil {
-			return Result{}, err
-		}
-		ioDone := start.Add(ioTime)
-		srv.workerFree[w] = ioDone
-		serverIO.AddDuration(ioTime)
-
-		// Response crosses back; the server NIC serializes responses.
-		respArrive, err := net.Send(ioDone, srv.node, client, spec.Size)
-		if err != nil {
-			return Result{}, err
-		}
-		latencies.AddDuration(respArrive.Sub(issueTime))
-		completed++
-		if respArrive.After(end) {
-			end = respArrive
-		}
-		nextIssue[client] = respArrive
-		remaining[client]--
-		issued[client]++
-	}
-
-	makespan := end.Sub(t0)
-	res := Result{
-		Nodes:         cfg.Nodes,
-		Requests:      completed,
-		Makespan:      makespan,
-		MeanLatencyMS: latencies.Mean(),
-		P99LatencyMS:  latencies.Quantile(0.99),
-		ServerIOMS:    serverIO.Mean(),
-		NetBusy:       net.Stats().BusyTime,
-	}
-	if makespan > 0 {
-		res.Throughput = float64(completed) / makespan.Seconds()
-	}
-	return res, nil
+	return runFaultAware(cfg)
 }
 
 // serveFile performs the server's doGet path: open the managed stream,

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/simdisk"
@@ -206,5 +207,53 @@ func TestTableAndFigureRender(t *testing.T) {
 	fig := Figure(results).RenderLines(40, 8)
 	if !strings.Contains(fig, "throughput") {
 		t.Fatalf("figure render:\n%s", fig)
+	}
+}
+
+// TestDeadlineZeroMeansNeverExpires pins the equivalence the single
+// event loop rests on. With one server there is only one route, so no
+// deadline and a deadline that can never fire must measure the same
+// run.
+func TestDeadlineZeroMeansNeverExpires(t *testing.T) {
+	cfg := testConfig()
+	cfg.Servers = 1
+	never, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Deadline = time.Hour
+	hour, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if never.Requests != hour.Requests || never.Makespan != hour.Makespan ||
+		never.MeanLatencyMS != hour.MeanLatencyMS || never.P99LatencyMS != hour.P99LatencyMS ||
+		never.ServerIOMS != hour.ServerIOMS || never.NetBusy != hour.NetBusy {
+		t.Fatalf("results diverge:\nno deadline: %+v\none hour:    %+v", never, hour)
+	}
+}
+
+// TestStaticRoutingTablePinned pins the deadline-less 3-server sweep to
+// the rows the pre-fault benchmark printed: without a deadline client i
+// keeps replica i % 3, and a silent switch to ring routing (which
+// places requests by file name) would move every row.
+func TestStaticRoutingTablePinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Servers = 3
+	results, err := Sweep(cfg, []int{1, 2, 4, 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"1      64        1804                0.5542             3.184             0.1249",
+		"2      128       3609                0.5542             5.572             0.1249",
+		"4      256       5362                0.6491             7.395             0.09729",
+		"8      512       7525                0.9791             7.588             0.05592",
+	}
+	lines := strings.Split(Table(results).Render(), "\n")
+	for i, w := range want {
+		if got := strings.TrimRight(lines[3+i], " "); got != w {
+			t.Errorf("row %d:\n got %q\nwant %q", i, got, w)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package distbench
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,37 +32,27 @@ const defaultCurveBuckets = 20
 // file name, so a file's requests land on the same replica (cache
 // affinity) and a dead server's keys redistribute across the survivors
 // instead of sliding wholesale onto one neighbour.
-type ring struct {
-	hashes  []uint64
-	servers []int
+type ring []ringPoint // ascending by hash, then server
+
+type ringPoint struct {
+	hash   uint64
+	server int
 }
 
-func newRing(nServers int) *ring {
-	r := &ring{
-		hashes:  make([]uint64, 0, nServers*ringVnodes),
-		servers: make([]int, 0, nServers*ringVnodes),
-	}
-	type point struct {
-		h uint64
-		s int
-	}
-	points := make([]point, 0, nServers*ringVnodes)
+func newRing(nServers int) ring {
+	points := make([]ringPoint, 0, nServers*ringVnodes)
 	for s := 0; s < nServers; s++ {
 		for v := 0; v < ringVnodes; v++ {
-			points = append(points, point{h: hashKey(fmt.Sprintf("server%d#%d", s, v)), s: s})
+			points = append(points, ringPoint{hashKey(fmt.Sprintf("server%d#%d", s, v)), s})
 		}
 	}
 	sort.Slice(points, func(i, j int) bool {
-		if points[i].h != points[j].h {
-			return points[i].h < points[j].h
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
 		}
-		return points[i].s < points[j].s
+		return points[i].server < points[j].server
 	})
-	for _, p := range points {
-		r.hashes = append(r.hashes, p.h)
-		r.servers = append(r.servers, p.s)
-	}
-	return r
+	return points
 }
 
 func hashKey(key string) uint64 {
@@ -73,26 +64,13 @@ func hashKey(key string) uint64 {
 // prefs returns the key's failover order: every distinct server, walked
 // clockwise from the key's ring position. The first entry is the
 // primary; each retry moves one step down the list.
-func (r *ring) prefs(key string, buf []int) []int {
+func (r ring) prefs(key string, buf []int) []int {
 	buf = buf[:0]
-	if len(r.hashes) == 0 {
-		return buf
-	}
 	h := hashKey(key)
-	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
-	seen := 0
-	for i := 0; i < len(r.hashes) && seen < cap(buf); i++ {
-		s := r.servers[(start+i)%len(r.hashes)]
-		dup := false
-		for _, have := range buf {
-			if have == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	start := sort.Search(len(r), func(i int) bool { return r[i].hash >= h })
+	for i := 0; i < len(r) && len(buf) < cap(buf); i++ {
+		if s := r[(start+i)%len(r)].server; !slices.Contains(buf, s) {
 			buf = append(buf, s)
-			seen++
 		}
 	}
 	return buf
@@ -129,10 +107,11 @@ func nodeLayout(nodes, nServers int) func(target string) (int, error) {
 	}
 }
 
-// runFaultAware is Run's deadline/failover path. The event loop keeps
-// the fault-free path's shape — one goroutine, the earliest next-issue
-// client steps — so the run is deterministic by construction: every
-// timing is a pure function of the configuration.
+// runFaultAware is Run's event loop: one goroutine, the earliest
+// next-issue client steps, so the run is deterministic by construction
+// — every timing is a pure function of the configuration. On a fabric
+// without faults no attempt is ever lost, SendLossy is bit-identical to
+// Send, and the deadline/failover machinery below is never entered.
 func runFaultAware(cfg Config) (Result, error) {
 	servers, net, err := buildCluster(cfg)
 	if err != nil {
@@ -182,7 +161,14 @@ func runFaultAware(cfg Config) (Result, error) {
 		}
 	}
 
-	rg := newRing(nServers)
+	// Routing: with a deadline there is failure detection to act on, so
+	// requests route by file name over the consistent-hash ring and fail
+	// over along it. Without one a loss could never be noticed, and each
+	// client keeps its static replica.
+	var rg ring
+	if cfg.Deadline > 0 {
+		rg = newRing(nServers)
+	}
 	nextIssue := make([]time.Time, cfg.Nodes)
 	remaining := make([]int, cfg.Nodes)
 	issued := make([]int, cfg.Nodes)
@@ -215,10 +201,12 @@ func runFaultAware(cfg Config) (Result, error) {
 		}
 		issue0 := nextIssue[client]
 		spec := cfg.Corpus[(client+issued[client])%len(cfg.Corpus)]
-		prefBuf = rg.prefs(spec.Name, prefBuf[:cap(prefBuf)])
-		for k := range tried {
-			delete(tried, k)
+		if rg != nil {
+			prefBuf = rg.prefs(spec.Name, prefBuf[:cap(prefBuf)])
+		} else {
+			prefBuf = append(prefBuf[:0], client%nServers)
 		}
+		clear(tried)
 
 		t := issue0
 		attempt := 0
@@ -270,18 +258,16 @@ func runFaultAware(cfg Config) (Result, error) {
 		issued[client]++
 	}
 
-	if len(rebuilds) > 0 {
-		for i, rs := range rebuilds {
-			if err := rs.Finish(); err != nil {
-				return Result{}, err
-			}
-			res.RebuildRows += rs.Rows()
-			if ms := float64(rs.Elapsed()) / float64(time.Millisecond); ms > res.RebuildMS {
-				res.RebuildMS = ms
-			}
-			if i == 0 {
-				res.RebuildMembers = rs.Members()
-			}
+	for i, rs := range rebuilds {
+		if err := rs.Finish(); err != nil {
+			return Result{}, err
+		}
+		res.RebuildRows += rs.Rows()
+		if ms := float64(rs.Elapsed()) / float64(time.Millisecond); ms > res.RebuildMS {
+			res.RebuildMS = ms
+		}
+		if i == 0 {
+			res.RebuildMembers = rs.Members()
 		}
 	}
 
@@ -397,7 +383,7 @@ func availabilityCurve(t0, end time.Time, completions []time.Time, buckets int) 
 // and the distbench command.
 func FormatCurve(r Result) string {
 	if len(r.Curve) == 0 {
-		return "(no availability curve: fault-free fast path)\n"
+		return "(no availability curve: nothing completed)\n"
 	}
 	peak := 0.0
 	for _, p := range r.Curve {

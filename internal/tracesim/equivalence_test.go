@@ -105,3 +105,51 @@ func TestConcurrentReplayBulkMatchesPageGranular(t *testing.T) {
 		t.Fatalf("concurrent reports diverge: bulk elapsed %v vs per-page %v", bulk.Elapsed, page.Elapsed)
 	}
 }
+
+// TestReplaySourcesAgree ties the three record sources to the one lane
+// core: a single-process trace is one lane however it is fed, so
+// Replay, ReplayConcurrent and ReplayStream on fresh default stores
+// must report the same rows, per-op summaries and elapsed time.
+func TestReplaySourcesAgree(t *testing.T) {
+	p := tracegen.DefaultParams()
+	p.FileSize = 64 << 20
+	p.Requests = 96
+	for _, app := range []string{"Dmine", "LU", "Titan", "Cholesky"} {
+		t.Run(app, func(t *testing.T) {
+			tr, err := tracegen.Generate(app, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(replay func(*Replayer) (*Report, error)) *Report {
+				store := fsim.MustNewFileStore(fsim.DefaultConfig())
+				defer store.Close()
+				rp := NewReplayer(store)
+				rp.SampleFileSize = p.FileSize
+				rep, err := replay(rp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep
+			}
+			serial := run(func(rp *Replayer) (*Report, error) { return rp.Replay(app, tr) })
+			if serial.TotalRequests == 0 {
+				t.Fatal("trace produced no request rows; the comparison is vacuous")
+			}
+			for name, got := range map[string]*Report{
+				"concurrent": run(func(rp *Replayer) (*Report, error) { return rp.ReplayConcurrent(app, tr) }),
+				"stream":     run(func(rp *Replayer) (*Report, error) { return rp.ReplayStream(app, streamScanner(t, tr, encodeV2)) }),
+			} {
+				if !reflect.DeepEqual(serial.Requests, got.Requests) {
+					t.Errorf("%s rows diverge from serial", name)
+				}
+				if serial.Open != got.Open || serial.Close != got.Close || serial.Read != got.Read ||
+					serial.Write != got.Write || serial.Seek != got.Seek {
+					t.Errorf("%s summaries diverge from serial:\nserial: %+v\n%s: %+v", name, summary(serial), name, summary(got))
+				}
+				if serial.Elapsed != got.Elapsed {
+					t.Errorf("%s elapsed %v, serial %v", name, got.Elapsed, serial.Elapsed)
+				}
+			}
+		})
+	}
+}

@@ -4,25 +4,17 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/fsim"
 	"repro/internal/trace"
 )
-
-// laneStore is the store capability concurrent replay uses to give each
-// worker its own virtual timeline; *fsim.FileStore implements it. Stores
-// without it (the OS passthrough) fall back to shared-clock replay.
-type laneStore interface {
-	NewSession() *fsim.Session
-	Settle() (time.Time, time.Duration)
-}
 
 // ReplayConcurrent replays a multi-process trace with one goroutine per
 // process id, each with its own file handle — the execution structure of
 // the traced parallel applications (Pgrep's four workers, §3.1). Records
 // keep their per-PID order; cross-PID interleaving is whatever the
-// scheduler produces, as it was on the original machine.
+// scheduler produces, as it was on the original machine. A worker whose
+// first data operation precedes its own open record inherits an
+// implicit open.
 //
 // On a session-capable store each worker replays on its own
 // virtual-time lane with a private disk view, so the workers are
@@ -34,198 +26,68 @@ func (rp *Replayer) ReplayConcurrent(appName string, tr *trace.Trace) (*Report, 
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if err := rp.Prepare(tr); err != nil {
-		return nil, fmt.Errorf("tracesim: preparing sample file: %w", err)
+	r, err := rp.begin(appName, tr.Header.SampleFile, false)
+	if err != nil {
+		return nil, err
 	}
 
 	// Partition records by PID, preserving order.
-	byPID := make(map[uint32][]*trace.Record)
+	type part struct {
+		recs []*trace.Record
+		rows int
+	}
+	byPID := make(map[uint32]*part)
+	pids := make([]uint32, 0, tr.Header.NumProcesses)
 	for i := range tr.Records {
 		rec := &tr.Records[i]
-		byPID[rec.PID] = append(byPID[rec.PID], rec)
-	}
-	pids := make([]uint32, 0, len(byPID))
-	for pid := range byPID {
-		pids = append(pids, pid)
+		p := byPID[rec.PID]
+		if p == nil {
+			p = &part{}
+			byPID[rec.PID] = p
+			pids = append(pids, rec.PID)
+		}
+		p.recs = append(p.recs, rec)
+		p.rows += dataOpRows(rec)
 	}
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 
-	ls, hasLanes := rp.store.(laneStore)
-	var recBefore fsim.RecoveryStats
-	recStore, hasRecovery := rp.store.(recoveryStore)
-	if hasRecovery {
-		recBefore = recStore.RecoveryStats()
+	// Every lane, and every requested member rebuild, registers before
+	// the first worker runs: all of them must be part of a shared disk
+	// queue's merge from the start (see newLane).
+	for _, pid := range pids {
+		r.newLane(pid, byPID[pid].rows)
 	}
-
-	// Each worker replays its own records into a private report; reports
-	// merge afterwards, so no lock sits on the replay hot path.
-	reports := make([]*Report, len(pids))
-	errs := make([]error, len(pids))
-	sessions := make([]*fsim.Session, 0, len(pids))
-	if hasLanes {
-		// Register every worker's lane before any worker runs. Creating
-		// sessions inside the spawn loop races against the workers it has
-		// already started: a shared disk queue dispatches a sole
-		// registered lane inline and advances its queue edge, so under
-		// heavy host load an early worker could run ahead before later
-		// lanes joined — and a late lane floors at the advanced edge,
-		// shifting its timings. Pre-registering the full lane set makes
-		// the merge a pure function of the trace again.
-		for range pids {
-			sessions = append(sessions, ls.NewSession())
-		}
-	}
-	releaseAll := func() {
-		for _, sess := range sessions {
-			sess.Release()
-		}
-	}
-
-	// Requested member rebuilds join before the workers too, for the
-	// same reason: their lanes must be part of the merge from the start.
-	members := append([]int(nil), rp.RebuildMembers...)
-	if rp.RebuildMember >= 0 {
-		members = append(members, rp.RebuildMember)
-	}
-	var rb *fsim.RebuildSet
-	if len(members) > 0 {
+	if len(rp.RebuildMembers) > 0 {
 		rs, ok := rp.store.(rebuildStore)
 		if !ok {
-			releaseAll()
-			return nil, fmt.Errorf("tracesim: store %T cannot rebuild a member", rp.store)
+			return r.merge(fmt.Errorf("tracesim: store %T cannot rebuild a member", rp.store))
 		}
-		var err error
-		if rb, err = rs.BeginRebuilds(members); err != nil {
-			releaseAll()
-			return nil, fmt.Errorf("tracesim: starting rebuild: %w", err)
+		if r.rb, err = rs.BeginRebuilds(rp.RebuildMembers); err != nil {
+			return r.merge(fmt.Errorf("tracesim: starting rebuild: %w", err))
 		}
 	}
 
 	var wg sync.WaitGroup
-	if rb != nil {
+	if r.rb != nil {
 		// The copies stream through the store's disk path alongside the
 		// foreground workers, so rebuild-vs-foreground contention lands in
 		// the merged timings.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rb.Run()
+			r.rb.Run()
 		}()
 	}
-	for i, pid := range pids {
-		st := rp.store
-		if hasLanes {
-			st = sessions[i]
-		}
+	for _, l := range r.lanes {
 		wg.Add(1)
-		go func(i int, st fsim.Store, recs []*trace.Record) {
+		go func(l *lane, recs []*trace.Record) {
 			defer wg.Done()
-			reports[i], errs[i] = rp.replayRecords(st, appName, tr.Header.SampleFile, recs)
-			if sess, ok := st.(*fsim.Session); ok {
-				// Out of records forever: park the lane so a shared disk
-				// queue stops waiting for this worker (no-op otherwise).
-				sess.Idle()
+			for _, rec := range recs {
+				l.feed(rec)
 			}
-		}(i, st, byPID[pid])
+			l.finish()
+		}(l, byPID[l.pid].recs)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			if rb != nil {
-				rb.Finish()
-			}
-			releaseAll()
-			return nil, err
-		}
-	}
-
-	merged := &Report{App: appName}
-	total := 0
-	for _, r := range reports {
-		total += len(r.Requests)
-	}
-	merged.Requests = make([]RequestTiming, 0, total)
-	var longest time.Duration
-	for _, r := range reports {
-		merged.Open.Merge(&r.Open)
-		merged.Close.Merge(&r.Close)
-		merged.Read.Merge(&r.Read)
-		merged.Write.Merge(&r.Write)
-		merged.Seek.Merge(&r.Seek)
-		merged.Requests = append(merged.Requests, r.Requests...)
-		merged.TotalRequests += r.TotalRequests
-		merged.WorkerTime += r.Elapsed
-		if r.Elapsed > longest {
-			longest = r.Elapsed
-		}
-	}
-	if rb != nil {
-		// The copies finished with the workers (Run was waited on above);
-		// promote the spares now that the foreground has quiesced —
-		// swapping a member mid-replay would make dispatch order depend
-		// on wall-clock interleaving.
-		merged.RebuildRows = rb.Rows()
-		merged.RebuildTime = rb.Elapsed()
-		if err := rb.Finish(); err != nil {
-			releaseAll()
-			return nil, fmt.Errorf("tracesim: finishing rebuild: %w", err)
-		}
-		merged.RebuildMembers = rb.Members()
-	}
-	if hasLanes {
-		// Overlap rule: the parallel machine finishes with its slowest
-		// worker, then settles buffered writes (a deterministic elevator
-		// sweep, or the background flushers when write-back is on).
-		_, settle := ls.Settle()
-		merged.Elapsed = longest + settle
-		// The lanes' final times are folded into the timeline by Release,
-		// so repeated replays on one store do not accumulate dead lanes.
-		releaseAll()
-	} else {
-		merged.Elapsed = merged.WorkerTime
-	}
-	if hasRecovery {
-		merged.Recovery = recStore.RecoveryStats().Sub(recBefore)
-	}
-	// Re-index the merged request rows.
-	for i := range merged.Requests {
-		merged.Requests[i].Index = i + 1
-	}
-	return merged, nil
-}
-
-// replayRecords executes one process's record sequence against st (the
-// worker's session, or the shared store). A worker whose first data
-// operation precedes its own open record inherits an implicit open, as
-// the shared-handle traces of the paper do.
-func (rp *Replayer) replayRecords(st fsim.Store, appName, sample string, recs []*trace.Record) (*Report, error) {
-	rep := &Report{App: appName, Requests: make([]RequestTiming, 0, dataOps(recs))}
-	var f fsim.File
-	var buf []byte
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	for i, rec := range recs {
-		if f == nil && rec.Op != trace.OpOpen {
-			// Implicit open: multi-process traces often record one open
-			// for the group.
-			file, dur, err := st.Open(sample)
-			if err != nil {
-				return nil, err
-			}
-			f = file
-			rep.Open.AddDuration(dur)
-			rep.Elapsed += dur
-		}
-		for c := uint32(0); c < rec.Count; c++ {
-			d, err := rp.step(st, rep, &f, &buf, rec, sample)
-			if err != nil {
-				return nil, fmt.Errorf("tracesim: pid %d record %d (%s): %w", rec.PID, i, rec.Op, err)
-			}
-			rep.Elapsed += d
-		}
-	}
-	return rep, nil
+	return r.merge(nil)
 }

@@ -111,7 +111,7 @@ func TestRebuildingReplayDeterministic(t *testing.T) {
 		defer store.Close()
 		rp := NewReplayer(store)
 		rp.SampleFileSize = 32 << 20
-		rp.RebuildMember = 1
+		rp.RebuildMembers = []int{1}
 		rep, err := rp.ReplayConcurrent("Parallel", tr)
 		if err != nil {
 			t.Fatal(err)

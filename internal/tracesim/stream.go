@@ -2,10 +2,8 @@ package tracesim
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fsim"
 	"repro/internal/metrics"
@@ -47,164 +45,76 @@ func (a *streamAgg) offer(rows *[]RequestTiming, rt RequestTiming) {
 }
 
 // ReplayStream replays a trace straight off a Scanner without ever
-// materializing the record slice: a reader goroutine decodes records and
-// routes them to per-PID worker queues (bounded channels — backpressure,
-// not buffering), and each worker drives its own store session exactly
-// like a ReplayConcurrent lane. Memory is bounded by the queues and the
-// per-worker reports, independent of trace length, so a billion-record
-// v2 trace replays in a few megabytes.
+// materializing the record slice: the calling goroutine decodes records
+// and routes them to per-PID lane queues (bounded channels —
+// backpressure, not buffering), opening each lane at its PID's first
+// record. Memory is bounded by the queues and the per-lane reports,
+// independent of trace length, so a billion-record v2 trace replays in
+// a few megabytes.
 //
 // On a session-capable store each lane is a pure function of its own
 // record sequence — private virtual clock, private disk view — so the
 // merged report is bit-identical to ReplayConcurrent on the same trace,
 // whatever the goroutine interleaving. The shared disk-queue mode is
 // refused: contending lanes rendezvous through the queue, which needs
-// every lane's future known up front (the reader could deadlock feeding
-// a worker whose dispatch gates on another still-unfed lane), and its
-// cross-lane ordering is the one thing streaming cannot reproduce.
+// every lane registered and its future known up front (the reader could
+// deadlock feeding a lane whose dispatch gates on another still-unfed
+// one), and its cross-lane ordering is the one thing streaming cannot
+// reproduce.
 //
-// With StreamAggregate set, per-worker reports keep per-op histograms
+// With StreamAggregate set, per-lane reports keep per-op histograms
 // plus a reservoir sample instead of the full row list (see Report); the
 // merged Requests are then a deterministic proportional sample.
 func (rp *Replayer) ReplayStream(appName string, sc *trace.Scanner) (*Report, error) {
 	if fs, ok := rp.store.(*fsim.FileStore); ok && fs.SharedQueue() != nil {
 		return nil, errors.New("tracesim: ReplayStream does not support the shared disk-queue mode; use ReplayConcurrent on a materialized trace")
 	}
-	h := sc.Header()
-	if h.SampleFile == "" {
-		return nil, errors.New("trace: empty sample file name")
+	r, err := rp.begin(appName, sc.Header().SampleFile, false)
+	if err != nil {
+		return nil, err
 	}
-	if err := rp.prepareSample(h.SampleFile); err != nil {
-		return nil, fmt.Errorf("tracesim: preparing sample file: %w", err)
-	}
-	ls, hasLanes := rp.store.(laneStore)
-	var recBefore fsim.RecoveryStats
-	recStore, hasRecovery := rp.store.(recoveryStore)
-	if hasRecovery {
-		recBefore = recStore.RecoveryStats()
-	}
+	r.aggregate = rp.StreamAggregate
 	depth := rp.StreamQueueDepth
 	if depth <= 0 {
 		depth = 1024
 	}
 
-	type worker struct {
-		ch   chan trace.Record
-		sess *fsim.Session
-		rep  *Report
-		err  error
-	}
-	workers := make(map[uint32]*worker)
+	queues := make(map[uint32]chan trace.Record)
 	var wg sync.WaitGroup
-	spawn := func(pid uint32) *worker {
-		w := &worker{ch: make(chan trace.Record, depth)}
-		st := rp.store
-		if hasLanes {
-			w.sess = ls.NewSession()
-			st = w.sess
-		}
-		workers[pid] = w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.rep, w.err = rp.replayChannel(st, appName, h.SampleFile, pid, w.ch)
-			if w.sess != nil {
-				// Out of records forever: park the lane (no-op in the
-				// private-lane modes this path allows, but kept symmetric
-				// with ReplayConcurrent).
-				w.sess.Idle()
-			}
-		}()
-		return w
-	}
-
 	for sc.Next() {
 		rec := sc.Record()
-		w := workers[rec.PID]
-		if w == nil {
-			w = spawn(rec.PID)
+		ch := queues[rec.PID]
+		if ch == nil {
+			// depth records of slack: the reader blocks (backpressure)
+			// only once this lane falls that far behind it.
+			ch = make(chan trace.Record, depth)
+			queues[rec.PID] = ch
+			l := r.newLane(rec.PID, 0)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rec := range ch {
+					l.feed(&rec)
+				}
+				l.finish()
+			}()
 		}
-		w.ch <- *rec
+		ch <- *rec
 	}
-	for _, w := range workers {
-		close(w.ch)
+	for _, ch := range queues {
+		close(ch)
 	}
 	wg.Wait()
+	return r.merge(sc.Err())
+}
 
-	release := func() {
-		for _, w := range workers {
-			if w.sess != nil {
-				w.sess.Release()
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		release()
-		return nil, err
-	}
-	pids := make([]uint32, 0, len(workers))
-	for pid := range workers {
-		pids = append(pids, pid)
-	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	for _, pid := range pids {
-		if err := workers[pid].err; err != nil {
-			release()
-			return nil, err
-		}
-	}
-
-	// Merge in sorted-PID order — the same order ReplayConcurrent merges
-	// its partitions, so the reports agree row for row.
-	merged := &Report{App: appName}
-	if rp.StreamAggregate {
-		merged.SampledRequests = true
-		merged.ReadHist = metrics.NewLatencyHistogram()
-		merged.WriteHist = metrics.NewLatencyHistogram()
-		merged.SeekHist = metrics.NewLatencyHistogram()
-	}
-	var longest time.Duration
-	for _, pid := range pids {
-		r := workers[pid].rep
-		merged.Open.Merge(&r.Open)
-		merged.Close.Merge(&r.Close)
-		merged.Read.Merge(&r.Read)
-		merged.Write.Merge(&r.Write)
-		merged.Seek.Merge(&r.Seek)
-		merged.TotalRequests += r.TotalRequests
-		merged.WorkerTime += r.Elapsed
-		if r.Elapsed > longest {
-			longest = r.Elapsed
-		}
-		if rp.StreamAggregate {
-			merged.ReadHist.Merge(r.ReadHist)
-			merged.WriteHist.Merge(r.WriteHist)
-			merged.SeekHist.Merge(r.SeekHist)
-		} else {
-			merged.Requests = append(merged.Requests, r.Requests...)
-		}
-	}
-	if rp.StreamAggregate {
-		merged.Requests = mergeReservoirs(pids, func(pid uint32) []RequestTiming {
-			return workers[pid].rep.Requests
-		}, rp.reservoirCap())
-	}
-	if hasLanes {
-		_, settle := ls.Settle()
-		merged.Elapsed = longest + settle
-		release()
-	} else {
-		merged.Elapsed = merged.WorkerTime
-	}
-	if hasRecovery {
-		merged.Recovery = recStore.RecoveryStats().Sub(recBefore)
-	}
-	if !merged.SampledRequests {
-		for i := range merged.Requests {
-			merged.Requests[i].Index = i + 1
-		}
-	}
-	return merged, nil
+// sampled marks the report as a streaming-aggregation one and gives it
+// the per-op histograms that stand in for the full row list.
+func (r *Report) sampled() {
+	r.SampledRequests = true
+	r.ReadHist = metrics.NewLatencyHistogram()
+	r.WriteHist = metrics.NewLatencyHistogram()
+	r.SeekHist = metrics.NewLatencyHistogram()
 }
 
 func (rp *Replayer) reservoirCap() int {
@@ -214,31 +124,38 @@ func (rp *Replayer) reservoirCap() int {
 	return 4096
 }
 
-// mergeReservoirs thins per-worker reservoirs to one capN-row sample,
-// allocating slots proportionally to each worker's row count (largest
-// remainder, ties to the lower PID) and taking a uniform stride through
-// each reservoir — deterministic, no RNG at merge time.
-func mergeReservoirs(pids []uint32, rows func(uint32) []RequestTiming, capN int) []RequestTiming {
+// mergeRows folds the lanes' request rows (in the order given) into
+// one list of at most capN rows. Rows that fit are concatenated. A
+// larger set is thinned to a capN-row sample: slots are allocated
+// proportionally to each lane's row count (largest remainder, ties to
+// the earlier lane) and filled by a uniform stride through each lane's
+// rows — deterministic, no RNG at merge time.
+func mergeRows(lanes []*lane, capN int) []RequestTiming {
+	if len(lanes) == 1 && len(lanes[0].rep.Requests) <= capN {
+		// One lane's rows are the merged list already; adopt them
+		// rather than hold a second copy.
+		return lanes[0].rep.Requests
+	}
 	total := 0
-	for _, pid := range pids {
-		total += len(rows(pid))
+	for _, l := range lanes {
+		total += len(l.rep.Requests)
 	}
 	if total <= capN {
 		out := make([]RequestTiming, 0, total)
-		for _, pid := range pids {
-			out = append(out, rows(pid)...)
+		for _, l := range lanes {
+			out = append(out, l.rep.Requests...)
 		}
 		return out
 	}
-	quota := make([]int, len(pids))
+	quota := make([]int, len(lanes))
 	assigned := 0
 	type frac struct {
 		i   int
 		rem int
 	}
-	fracs := make([]frac, len(pids))
-	for i, pid := range pids {
-		n := len(rows(pid)) * capN
+	fracs := make([]frac, len(lanes))
+	for i, l := range lanes {
+		n := len(l.rep.Requests) * capN
 		quota[i] = n / total
 		fracs[i] = frac{i: i, rem: n % total}
 		assigned += quota[i]
@@ -249,8 +166,8 @@ func mergeReservoirs(pids []uint32, rows func(uint32) []RequestTiming, capN int)
 		assigned++
 	}
 	out := make([]RequestTiming, 0, capN)
-	for i, pid := range pids {
-		rs := rows(pid)
+	for i, l := range lanes {
+		rs := l.rep.Requests
 		n := quota[i]
 		if n > len(rs) {
 			n = len(rs)
@@ -260,63 +177,4 @@ func mergeReservoirs(pids []uint32, rows func(uint32) []RequestTiming, capN int)
 		}
 	}
 	return out
-}
-
-// replayChannel is replayRecords fed from a queue: one worker's record
-// stream executed against st. On error the worker keeps draining the
-// channel (discarding records) so the trace reader never blocks on a
-// dead lane.
-func (rp *Replayer) replayChannel(st fsim.Store, appName, sample string, pid uint32, ch <-chan trace.Record) (*Report, error) {
-	rep := &Report{App: appName}
-	if rp.StreamAggregate {
-		rep.SampledRequests = true
-		rep.agg = newStreamAgg(rp.reservoirCap(), pid)
-		rep.ReadHist = metrics.NewLatencyHistogram()
-		rep.WriteHist = metrics.NewLatencyHistogram()
-		rep.SeekHist = metrics.NewLatencyHistogram()
-	}
-	var f fsim.File
-	var buf []byte
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var firstErr error
-	i := 0
-	for rec := range ch {
-		if firstErr != nil {
-			continue
-		}
-		// The scanner validates v2 structurally; v1 records arrive raw, so
-		// guard the fields replay depends on.
-		if !rec.Op.Valid() || rec.Count == 0 {
-			firstErr = fmt.Errorf("tracesim: pid %d record %d: invalid record (op %d, count %d)", pid, i, rec.Op, rec.Count)
-			continue
-		}
-		if f == nil && rec.Op != trace.OpOpen {
-			// Implicit open, as in replayRecords.
-			file, dur, err := st.Open(sample)
-			if err != nil {
-				firstErr = fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
-				continue
-			}
-			f = file
-			rep.Open.AddDuration(dur)
-			rep.Elapsed += dur
-		}
-		for c := uint32(0); c < rec.Count; c++ {
-			d, err := rp.step(st, rep, &f, &buf, &rec, sample)
-			if err != nil {
-				firstErr = fmt.Errorf("tracesim: pid %d record %d (%s): %w", pid, i, rec.Op, err)
-				break
-			}
-			rep.Elapsed += d
-		}
-		i++
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return rep, nil
 }

@@ -2,7 +2,9 @@ package tracesim
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/fsim"
@@ -178,20 +180,37 @@ func TestReplayStreamRejectsSharedQueue(t *testing.T) {
 	}
 }
 
-// TestReplayStreamBadRecord checks that a worker error mid-stream drains
+// TestReplayStreamBadRecord checks that a lane error mid-stream drains
 // the remaining records (the reader must not deadlock) and surfaces the
-// failure.
+// failure with its position. v1 encoding does not validate, so any
+// malformed field can ride the wire; each must come back as an error
+// naming the pid and record, never as a panic in the lane.
 func TestReplayStreamBadRecord(t *testing.T) {
-	tr := determinismTrace(t)
-	// v1 encoding does not validate, so an invalid op can ride the wire.
-	tr.Records[len(tr.Records)/2].Op = trace.Op(7)
-	store := fsim.MustNewFileStore(determinismConfig())
-	defer store.Close()
-	rp := NewReplayer(store)
-	rp.SampleFileSize = 32 << 20
-	rp.StreamQueueDepth = 4 // tiny queue: the drain path must run
-	if _, err := rp.ReplayStream("Parallel", streamScanner(t, tr, encodeV1)); err == nil {
-		t.Fatal("invalid record replayed without error")
+	for _, tc := range []struct {
+		name   string
+		mangle func(*trace.Record)
+	}{
+		{"invalid op", func(r *trace.Record) { r.Op = trace.Op(7) }},
+		{"negative length", func(r *trace.Record) { r.Op, r.Length = trace.OpRead, -4096 }},
+		{"negative offset", func(r *trace.Record) { r.Op, r.Offset = trace.OpRead, -4096 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := determinismTrace(t)
+			bad := &tr.Records[len(tr.Records)/2]
+			tc.mangle(bad)
+			store := fsim.MustNewFileStore(determinismConfig())
+			defer store.Close()
+			rp := NewReplayer(store)
+			rp.SampleFileSize = 32 << 20
+			rp.StreamQueueDepth = 4 // tiny queue: the drain path must run
+			_, err := rp.ReplayStream("Parallel", streamScanner(t, tr, encodeV1))
+			if err == nil {
+				t.Fatal("malformed record replayed without error")
+			}
+			if want := fmt.Sprintf("pid %d record ", bad.PID); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the position (%q)", err, want)
+			}
+		})
 	}
 }
 

@@ -5,35 +5,13 @@
 package tracesim
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
-
-// sizedCreator is the optional store capability for provisioning large
-// sparse files; *fsim.FileStore implements it.
-type sizedCreator interface {
-	CreateSized(name string, size int64) (time.Duration, error)
-}
-
-// recoveryStore is the optional store capability for fault-recovery
-// accounting; *fsim.FileStore implements it. Replays snapshot the tally
-// before and after so the report carries only its own window.
-type recoveryStore interface {
-	RecoveryStats() fsim.RecoveryStats
-}
-
-// rebuildStore is the optional store capability for driving degraded
-// members' reconstruction alongside a replay; *fsim.FileStore
-// implements it.
-type rebuildStore interface {
-	BeginRebuilds(members []int) (*fsim.RebuildSet, error)
-}
 
 // RequestTiming is one timed data request, a row of Tables 3-4. For seek
 // records the paper's "data size" column is the seek target offset; for
@@ -88,10 +66,10 @@ type Report struct {
 	// when the store exposes them; zero on fault-free runs.
 	Recovery fsim.RecoveryStats
 	// RebuildTime is the simulated duration of the slowest concurrent
-	// member rebuild run alongside the replay (Replayer.RebuildMember /
-	// RebuildMembers; zero when none was requested); RebuildRows is how
-	// many blocks the rebuilds reconstructed in total, and
-	// RebuildMembers carries the per-member outcome.
+	// member rebuild run alongside the replay (Replayer.RebuildMembers;
+	// zero when none was requested); RebuildRows is how many blocks the
+	// rebuilds reconstructed in total, and RebuildMembers carries the
+	// per-member outcome.
 	RebuildTime    time.Duration
 	RebuildRows    int64
 	RebuildMembers []fsim.RebuildMemberResult
@@ -154,6 +132,7 @@ type Replayer struct {
 	// consecutive records is charged as think time (recorded in the
 	// report's ThinkTime and included in Elapsed). Unpaced replay (the
 	// default, and the paper's method) issues records back to back.
+	// Serial replay only: ReplayConcurrent and ReplayStream ignore it.
 	Paced bool
 	// StreamQueueDepth bounds each ReplayStream worker's record queue
 	// (backpressure on the trace reader). Defaults to 1024 records.
@@ -165,26 +144,20 @@ type Replayer struct {
 	// StreamReservoir is the per-worker reservoir capacity when
 	// StreamAggregate is on. Defaults to 4096 rows.
 	StreamReservoir int
-	// RebuildMember, when >= 0 on a rebuild-capable store, runs that
-	// member's reconstruction concurrently with ReplayConcurrent's
-	// workers: the rebuild reads contend with foreground traffic (through
-	// the shared disk queue when one is configured) and the spare is
-	// promoted once the replay quiesces. The report's RebuildTime and
-	// RebuildRows record the copy. -1 (the NewReplayer default) disables.
-	RebuildMember int
-	// RebuildMembers lists additional members to rebuild concurrently
-	// (joined with RebuildMember when both are set) — the hot-spare-pool
-	// story, typically paired with fsim.Config.Spares.
+	// RebuildMembers, on a rebuild-capable store, runs those members'
+	// reconstruction concurrently with ReplayConcurrent's lanes — the
+	// hot-spare-pool story, typically paired with fsim.Config.Spares. The
+	// rebuild reads contend with foreground traffic (through the shared
+	// disk queue when one is configured) and the spares are promoted once
+	// the replay quiesces. The report's RebuildTime, RebuildRows and
+	// RebuildMembers record the copies. Empty disables.
 	RebuildMembers []int
 }
 
 // NewReplayer builds a replayer over store.
 func NewReplayer(store fsim.Store) *Replayer {
-	return &Replayer{store: store, SampleFileSize: 1 << 30, RebuildMember: -1}
+	return &Replayer{store: store, SampleFileSize: 1 << 30}
 }
-
-// errNotOpen is returned when a trace issues data operations before open.
-var errNotOpen = errors.New("tracesim: operation before open")
 
 // dataOpRows returns how many per-request rows rec will produce
 // (repeat counts expanded): one per expansion for the data operations
@@ -195,17 +168,6 @@ func dataOpRows(rec *trace.Record) int {
 		return int(rec.Count)
 	}
 	return 0
-}
-
-// dataOps counts the per-request rows a record sequence will produce,
-// so replays can size Report.Requests once instead of growing it on
-// the hot path.
-func dataOps(recs []*trace.Record) int {
-	n := 0
-	for _, rec := range recs {
-		n += dataOpRows(rec)
-	}
-	return n
 }
 
 // Prepare provisions the trace's sample file if missing: sparse on stores
@@ -226,155 +188,26 @@ func (rp *Replayer) prepareSample(name string) error {
 	return err
 }
 
-// Replay validates and executes the trace, returning the timing report.
+// Replay validates and executes the trace serially: one lane on the
+// replayer's own store and clock, fed the whole trace in order, so
+// Elapsed is the sum of every operation (plus think time when Paced).
 // appName labels the report (e.g. "Data Mining").
 func (rp *Replayer) Replay(appName string, tr *trace.Trace) (*Report, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	if err := rp.Prepare(tr); err != nil {
-		return nil, fmt.Errorf("tracesim: preparing sample file: %w", err)
+	r, err := rp.begin(appName, tr.Header.SampleFile, true)
+	if err != nil {
+		return nil, err
 	}
-	rep := &Report{App: appName}
-	var recBefore fsim.RecoveryStats
-	rs, hasRecovery := rp.store.(recoveryStore)
-	if hasRecovery {
-		recBefore = rs.RecoveryStats()
-	}
-	n := 0
+	rows := 0
 	for i := range tr.Records {
-		n += dataOpRows(&tr.Records[i])
+		rows += dataOpRows(&tr.Records[i])
 	}
-	rep.Requests = make([]RequestTiming, 0, n)
-	var f fsim.File
-	var buf []byte
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var elapsed time.Duration
-	var prevWall int64
+	l := r.newLane(0, rows)
 	for i := range tr.Records {
-		rec := &tr.Records[i]
-		if rp.Paced && i > 0 && rec.WallClock > prevWall {
-			think := time.Duration(rec.WallClock - prevWall)
-			rep.ThinkTime += think
-			elapsed += think
-		}
-		prevWall = rec.WallClock
-		for c := uint32(0); c < rec.Count; c++ {
-			d, err := rp.step(rp.store, rep, &f, &buf, rec, tr.Header.SampleFile)
-			if err != nil {
-				return nil, fmt.Errorf("tracesim: record %d (%s): %w", i, rec.Op, err)
-			}
-			elapsed += d
-		}
+		l.feed(&tr.Records[i])
 	}
-	rep.Elapsed = elapsed
-	rep.WorkerTime = elapsed
-	if hasRecovery {
-		rep.Recovery = rs.RecoveryStats().Sub(recBefore)
-	}
-	return rep, nil
-}
-
-// step executes one expanded trace record against st (the replayer's
-// store, or one worker's session of it).
-func (rp *Replayer) step(st fsim.Store, rep *Report, f *fsim.File, buf *[]byte, rec *trace.Record, sample string) (time.Duration, error) {
-	switch rec.Op {
-	case trace.OpOpen:
-		if *f != nil {
-			(*f).Close()
-		}
-		file, dur, err := st.Open(sample)
-		if err != nil {
-			return 0, err
-		}
-		*f = file
-		rep.Open.AddDuration(dur)
-		return dur, nil
-
-	case trace.OpClose:
-		if *f == nil {
-			return 0, errNotOpen
-		}
-		dur, err := (*f).Close()
-		*f = nil
-		if err != nil {
-			return 0, err
-		}
-		rep.Close.AddDuration(dur)
-		return dur, nil
-
-	case trace.OpSeek:
-		if *f == nil {
-			return 0, errNotOpen
-		}
-		// §3.3: "Seek operations are performed from the beginning of the
-		// file to the offset as mentioned in the trace files."
-		_, d0, err := (*f).SeekTo(0, io.SeekStart)
-		if err != nil {
-			return 0, err
-		}
-		_, d1, err := (*f).SeekTo(rec.Offset, io.SeekStart)
-		if err != nil {
-			return 0, err
-		}
-		dur := d0 + d1
-		rep.Seek.AddDuration(dur)
-		rep.addRequest(RequestTiming{
-			Op: trace.OpSeek, Size: rec.Offset, SeekMS: ms(dur),
-		})
-		return dur, nil
-
-	case trace.OpRead:
-		if *f == nil {
-			return 0, errNotOpen
-		}
-		_, seekDur, err := (*f).SeekTo(rec.Offset, io.SeekStart)
-		if err != nil {
-			return 0, err
-		}
-		*buf = grow(*buf, int(rec.Length))
-		_, readDur, err := (*f).Read((*buf)[:rec.Length])
-		if err != nil && err != io.EOF {
-			return 0, err
-		}
-		rep.Read.AddDuration(readDur)
-		rep.addRequest(RequestTiming{
-			Op: trace.OpRead, Size: rec.Length, SeekMS: ms(seekDur), ReadMS: ms(readDur),
-		})
-		return seekDur + readDur, nil
-
-	case trace.OpWrite:
-		if *f == nil {
-			return 0, errNotOpen
-		}
-		_, seekDur, err := (*f).SeekTo(rec.Offset, io.SeekStart)
-		if err != nil {
-			return 0, err
-		}
-		*buf = grow(*buf, int(rec.Length))
-		_, writeDur, err := (*f).Write((*buf)[:rec.Length])
-		if err != nil {
-			return 0, err
-		}
-		rep.Write.AddDuration(writeDur)
-		rep.addRequest(RequestTiming{
-			Op: trace.OpWrite, Size: rec.Length, SeekMS: ms(seekDur), WriteMS: ms(writeDur),
-		})
-		return seekDur + writeDur, nil
-	}
-	return 0, fmt.Errorf("unhandled op %d", rec.Op)
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// grow returns a buffer of at least n bytes, reusing b when possible.
-func grow(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]byte, n)
+	l.finish()
+	return r.merge(nil)
 }
