@@ -4,15 +4,24 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke fmt vet fmt-check ci
+.PHONY: all build test check-globals race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke fmt vet fmt-check ci
 
 all: build
 
 build:
 	$(GO) build ./...
 
+# Shuffled: no test may depend on what another left behind in the
+# process, which holds by construction now that configuration is a value.
 test:
-	$(GO) test ./...
+	$(GO) test -shuffle=on ./...
+
+# Configuration is a value (fsim.Tuning, core.Options) handed to the
+# constructors; this keeps process-wide setters from quietly returning.
+check-globals:
+	@if grep -rnE 'func SetDefault|core\.SetOptions' --include=*.go cmd internal examples; then \
+		echo "process-global configuration setter found: pass an fsim.Tuning / core.Options value instead"; exit 1; \
+	fi
 
 # The concurrency suite: the sharded buffer cache, concurrent trace
 # replay, the page-table fuzz corpus, and the web server all run under
@@ -121,4 +130,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build vet fmt-check test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke
+ci: build vet fmt-check check-globals test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke

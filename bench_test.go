@@ -92,7 +92,7 @@ func BenchmarkErrorCheckSimVsAnalytic(b *testing.B) {
 func BenchmarkTable1Dmine(b *testing.B) {
 	params := benchTraceParams()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tracesim.Table1(params); err != nil {
+		if _, _, err := tracesim.Table1(params, fsim.Tuning{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func BenchmarkTable1Dmine(b *testing.B) {
 func BenchmarkTable2Titan(b *testing.B) {
 	params := benchTraceParams()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tracesim.Table2(params); err != nil {
+		if _, _, err := tracesim.Table2(params, fsim.Tuning{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func BenchmarkTable2Titan(b *testing.B) {
 func BenchmarkTable3LU(b *testing.B) {
 	params := benchTraceParams()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tracesim.Table3(params); err != nil {
+		if _, _, err := tracesim.Table3(params, fsim.Tuning{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func BenchmarkTable3LU(b *testing.B) {
 func BenchmarkTable4Cholesky(b *testing.B) {
 	params := benchTraceParams()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tracesim.Table4(params); err != nil {
+		if _, _, err := tracesim.Table4(params, fsim.Tuning{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkPgrepReplay(b *testing.B) {
 	// application set; benchmark its replay alongside the others.
 	params := benchTraceParams()
 	for i := 0; i < b.N; i++ {
-		if _, err := tracesim.RunApp("Pgrep", params); err != nil {
+		if _, err := tracesim.RunApp("Pgrep", params, fsim.Tuning{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func BenchmarkPgrepReplay(b *testing.B) {
 
 func BenchmarkTable5WebServer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := webserver.Table5(); err != nil {
+		if _, _, err := webserver.Table5(fsim.Tuning{}, webserver.ShedPolicy{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func BenchmarkTable5WebServer(b *testing.B) {
 
 func BenchmarkTable6RepeatedReads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := webserver.Table6(); err != nil {
+		if _, _, err := webserver.Table6(fsim.Tuning{}, webserver.ShedPolicy{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkTable6RepeatedReads(b *testing.B) {
 
 func BenchmarkFig6ReadWarmup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := webserver.Figure6(); err != nil {
+		if _, _, err := webserver.Figure6(fsim.Tuning{}, webserver.ShedPolicy{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,7 +375,7 @@ func itoa(n int64) string {
 // BenchmarkVMCompare regenerates the cross-runtime Table 6 comparison.
 func BenchmarkVMCompare(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, err := vmcompare.Compare(nil)
+		results, err := vmcompare.Compare(nil, fsim.Tuning{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/appmodel"
+	"repro/internal/fsim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/tracesim"
@@ -93,7 +94,7 @@ func TestClaimModelErrorUnder10Percent(t *testing.T) {
 // than the time taken to open the file".
 func TestClaimCloseSlowerThanOpenAllTraces(t *testing.T) {
 	for _, app := range tracegen.AppNames {
-		rep, err := tracesim.RunApp(app, claimTraceParams())
+		rep, err := tracesim.RunApp(app, claimTraceParams(), fsim.Tuning{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestClaimCloseSlowerThanOpenAllTraces(t *testing.T) {
 // §3.4: "reading 28048 bytes takes more time than reading 133692 bytes
 // ... because a page fault occurs".
 func TestClaimCholeskyPageFaultInversion(t *testing.T) {
-	rep, err := tracesim.RunApp("Cholesky", claimTraceParams())
+	rep, err := tracesim.RunApp("Cholesky", claimTraceParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestClaimCholeskyPageFaultInversion(t *testing.T) {
 // §4.2: "the first file I/O operation by the server takes more time than
 // the subsequent read or write operations".
 func TestClaimFirstServerIOOperationSlowest(t *testing.T) {
-	_, times, err := webserver.Table6()
+	_, times, err := webserver.Table6(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestClaimFirstServerIOOperationSlowest(t *testing.T) {
 // the web server is handling the first read or write request" — with the
 // JIT disabled (native profile) the first-trial penalty largely vanishes.
 func TestClaimJITCausesFirstRequestDelay(t *testing.T) {
-	results, err := vmcompare.Compare(nil)
+	results, err := vmcompare.Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestClaimJITCausesFirstRequestDelay(t *testing.T) {
 // I/O-intensive computing" — steady-state managed I/O is within a small
 // factor of the native baseline.
 func TestClaimManagedSteadyStateCompetitive(t *testing.T) {
-	results, err := vmcompare.Compare(nil)
+	results, err := vmcompare.Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func TestClaimManagedSteadyStateCompetitive(t *testing.T) {
 // every POST writes a fresh file — concurrent POSTs must produce distinct
 // files with intact contents.
 func TestClaimPostsNeedNoSynchronization(t *testing.T) {
-	h, err := webserver.NewHarness()
+	h, err := webserver.NewHarness(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,21 @@
 package repro
 
 import (
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/clibench_*.txt from the current clibench; "+
+	"they pin every registry experiment's output at the defaults and under one all-knobs config, "+
+	"so moving them means moving the model: say so in the change")
 
 // buildTool compiles ./cmd/<name> into a per-test-run temp dir and
 // returns the binary path. Builds are cached per test binary run.
@@ -81,11 +90,43 @@ func TestCLIClibenchConfig(t *testing.T) {
 	if !strings.Contains(out, "PASS") {
 		t.Fatalf("output:\n%s", out)
 	}
-	// Bad config must fail loudly.
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(bad, []byte(`{"cpuz": 2}`), 0o644)
-	if _, err := exec.Command(bin, "-config", bad).CombinedOutput(); err == nil {
-		t.Fatal("bad config accepted")
+	// A bad config must fail loudly, naming the key.
+	for key, bad := range map[string]string{"cpuz": `{"cpuz": 2}`, "cache_shards": `{"cache_shards": 6}`,
+		"writeback_highwater": `{"writeback_highwater": 4}`, "net_faults": `{"net_faults": "kill:server0@20ms"}`} {
+		if err := os.WriteFile(cfg, []byte(bad), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-config", cfg, "-experiment", "fig1").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), key) {
+			t.Errorf("config %s: err %v, output:\n%s", bad, err, out)
+		}
+	}
+}
+
+// TestCLIClibenchGoldens pins the whole registry byte for byte: at the
+// defaults, and under a config that sets every store, web and
+// distributed knob at once (the files were generated by the binaries of
+// the commit before configuration became a value).
+func TestCLIClibenchGoldens(t *testing.T) {
+	bin := buildTool(t, "clibench")
+	for file, args := range map[string][]string{
+		"testdata/clibench_all.txt":    {"-experiment", "all"},
+		"testdata/clibench_config.txt": {"-config", "testdata/clibench_config.json", "-experiment", "all"},
+	} {
+		out := run(t, bin, args...)
+		if *update {
+			if err := os.WriteFile(file, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("clibench %v differs from %s (-update rewrites it; read the flag's help first)", args, file)
+		}
 	}
 }
 
@@ -124,12 +165,87 @@ func TestCLITracebenchConcurrentAndPaced(t *testing.T) {
 	if !strings.Contains(out, "replayed") {
 		t.Fatalf("paced output:\n%s", out)
 	}
-	// Only serial replay reads the stamps; the other modes must refuse
-	// -paced rather than print unpaced numbers.
-	for _, mode := range []string{"-concurrent", "-stream", "-sweep"} {
-		out, err := exec.Command(bin, "-app", "Pgrep", "-paced", mode, "-filesize", "67108864", "-requests", "40").CombinedOutput()
-		if err == nil || !strings.Contains(string(out), "-paced") {
-			t.Errorf("-paced %s accepted (err %v):\n%s", mode, err, out)
+}
+
+// TestCLIRejectedCombinations: a flag the chosen mode cannot honour, or
+// a value the store would reject, is an error that names it — never a
+// run that silently ignores it.
+func TestCLIRejectedCombinations(t *testing.T) {
+	small := []string{"-filesize", "67108864", "-requests", "40"}
+	cases := []struct {
+		tool string
+		args []string
+		want string // substring of the error
+	}{
+		// Only serial replay reads the wall-clock stamps.
+		{"tracebench", []string{"-app", "Pgrep", "-paced", "-concurrent"}, "-paced"},
+		{"tracebench", []string{"-app", "Pgrep", "-paced", "-stream"}, "-paced"},
+		{"tracebench", []string{"-app", "Pgrep", "-paced", "-sweep"}, "-paced"},
+		{"tracebench", []string{"-app", "Parallel", "-rebuild", "1"}, "-rebuild"},
+		{"tracebench", []string{"-app", "Mixed", "-sweep", "-shards", "4"}, "-shards"},
+		{"tracebench", []string{"-app", "Dmine", "-real", "-writeback", "8"}, "-writeback"},
+		// -tables and -sweep build their stores from the flags too.
+		{"tracebench", []string{"-tables", "-shards", "8", "-writeback", "8", "-sched", "scan", "-disk-queue", "shared",
+			"-disks", "4", "-raid", "raid5", "-faults", "fail:9@0s"}, "disk 9 out of range"},
+		{"tracebench", []string{"-app", "Mixed", "-sweep", "-writeback-highwater", "4"}, "high-water"},
+		{"tracebench", []string{"-app", "Dmine", "-shards", "3"}, "power of two"},
+		{"tracebench", []string{"-app", "Dmine", "-sched", "elevator"}, "-sched"},
+		{"webbench", []string{"-mode", "tables", "-shards", "8"}, "-shards"},
+		{"webbench", []string{"-mode", "servefs", "-writeback", "8"}, "-writeback"},
+		{"webbench", []string{"-mode", "load", "-sched", "sstf"}, "-sched"},
+		{"webbench", []string{"-mode", "serve", "-addr", "127.0.0.1:0", "-spares", "2"}, "-spares"},
+		{"webbench", []string{"-mode", "serve", "-addr", "127.0.0.1:0", "-disk-queue", "shared"}, "-lanes"},
+		{"webbench", []string{"-mode", "degraded", "-addr", "127.0.0.1:0", "-lanes"}, "-lanes"},
+		{"webbench", []string{"-mode", "degraded", "-addr", "127.0.0.1:0", "-rebuild", "x"}, "-rebuild"},
+		{"webbench", []string{"-mode", "bogus"}, "bogus"},
+		{"distbench", []string{"-faults", "fail:5@0s", "-raid", "raid1", "-disks", "2"}, "disk 5 out of range"},
+		{"distbench", []string{"-spares", "-1"}, "spare"},
+		{"distbench", []string{"-rebuild", "1,x"}, "-rebuild"},
+	}
+	for _, tc := range cases {
+		args := tc.args
+		if tc.tool == "tracebench" {
+			args = append(slices.Clone(args), small...)
+		}
+		out, err := exec.Command(buildTool(t, tc.tool), args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s %v: err %v, want an error naming %q:\n%s", tc.tool, tc.args, err, tc.want, out)
+		}
+	}
+}
+
+// TestREADMEKnobTable checks README's configuration table against the
+// built tools: a binary's -h lists a flag exactly when the row says the
+// binary accepts it, and every JSON key is one LoadOptions knows.
+func TestREADMEKnobTable(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, _ := strings.Cut(string(readme), "<!-- knobs:begin")
+	table, _, ok := strings.Cut(table, "<!-- knobs:end")
+	if !ok {
+		t.Fatal("README has no knobs:begin/knobs:end table")
+	}
+	accepts := map[string][]string{} // flag -> binaries, over all its rows
+	for _, row := range regexp.MustCompile("(?m)^\\| `.*\\| (`\\w+`|—) \\| `-([a-z-]+)` \\| (.*) \\|$").FindAllStringSubmatch(table, -1) {
+		if key := strings.Trim(row[1], "`"); key != "—" {
+			if _, err := core.LoadOptions(strings.NewReader(`{"` + key + `": null}`)); err != nil {
+				t.Errorf("row -%s: JSON key: %v", row[2], err)
+			}
+		}
+		accepts[row[2]] = append(accepts[row[2]], strings.Split(row[3], ", ")...)
+	}
+	if len(accepts) < 15 {
+		t.Fatalf("parsed only %d flags out of the README table", len(accepts))
+	}
+	for _, tool := range []string{"tracebench", "webbench", "distbench"} {
+		help, _ := exec.Command(buildTool(t, tool), "-h").CombinedOutput()
+		for name, tools := range accepts {
+			has := regexp.MustCompile(`(?m)^  -` + name + `( |$)`).Match(help)
+			if listed := slices.Contains(tools, tool); has != listed {
+				t.Errorf("%s -h lists -%s: %v; README says: %v", tool, name, has, listed)
+			}
 		}
 	}
 }

@@ -27,23 +27,23 @@ func main() {
 	)
 	flag.Parse()
 
+	opts := core.DefaultOptions()
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
 			os.Exit(1)
 		}
-		opts, err := core.LoadOptions(f)
+		opts, err = core.LoadOptions(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
 			os.Exit(1)
 		}
-		core.SetOptions(opts)
 	}
 
 	if *list {
-		for _, e := range core.Experiments() {
+		for _, e := range opts.Experiments() {
 			fmt.Printf("%-12s %-7s %s\n", e.ID, e.Kind, e.Title)
 		}
 		return
@@ -58,14 +58,14 @@ func main() {
 	}
 	core.SortIDs(ids)
 	if *outDir != "" {
-		if err := core.RunToDir(*outDir, ids); err != nil {
+		if err := opts.RunToDir(*outDir, ids); err != nil {
 			fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("artifacts written to %s\n", *outDir)
 		return
 	}
-	if err := core.Run(os.Stdout, ids, *format); err != nil {
+	if err := opts.Run(os.Stdout, ids, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "clibench: %v\n", err)
 		os.Exit(1)
 	}

@@ -24,7 +24,6 @@ import (
 	"repro/internal/distbench"
 	"repro/internal/fsim"
 	"repro/internal/netsim"
-	"repro/internal/simdisk"
 )
 
 func main() {
@@ -37,13 +36,11 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "client RPC deadline; 0 = never expires (static client-to-replica routing)")
 		retry     = flag.String("retry", "", `failover retry policy, e.g. "max=3,base=200us"`)
 		netFaults = flag.String("net-faults", "", `fabric fault plan, e.g. "kill:server0@20ms,drop:link1@10ms+5ms"`)
-		disks     = flag.Int("disks", 0, "simulated disks in each server's array (0 = config default)")
-		raid      = flag.String("raid", "", "array redundancy: raid0 | raid1 | raid5 (empty = config default)")
-		faults    = flag.String("faults", "", `per-server device fault plan, e.g. "fail:1@0s"`)
-		spares    = flag.Int("spares", 0, "hot-spare pool size per server (0 = none)")
 		rebuild   = flag.String("rebuild", "", `members every server rebuilds while serving, e.g. "1,2"`)
 		curve     = flag.Bool("curve", true, "print the availability curve of the largest fault-aware run")
+		tune      fsim.Tuning // each server's store
 	)
+	tune.RegisterFlags(flag.CommandLine, "disks", "raid", "faults", "spares")
 	flag.Parse()
 
 	cfg := distbench.DefaultConfig()
@@ -54,48 +51,18 @@ func main() {
 		cfg.Net = netsim.WANParams()
 	}
 	cfg.Deadline = *deadline
-	if *retry != "" {
-		pol, err := fsim.ParseRetrySpec(*retry)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Retry = pol
+	var err error
+	if cfg.Retry, err = fsim.ParseRetrySpec(*retry); err != nil {
+		fatal(err)
 	}
-	if *netFaults != "" {
-		plan, err := netsim.ParseFaultPlan(*netFaults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.NetFaults = plan
+	if cfg.NetFaults, err = netsim.ParseFaultPlan(*netFaults); err != nil {
+		fatal(err)
 	}
-	if *disks > 0 {
-		cfg.Store.Disks = *disks
+	if cfg.Store, err = tune.Apply(cfg.Store); err != nil {
+		fatal(err)
 	}
-	if *raid != "" {
-		level, err := simdisk.ParseLevel(*raid)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store.RAIDLevel = level
-	}
-	if *faults != "" {
-		plan, err := simdisk.ParseFaultPlan(*faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Store.Faults = plan
-	}
-	if *spares > 0 {
-		cfg.Store.Spares = *spares
-	}
-	if *rebuild != "" {
-		for _, part := range strings.Split(*rebuild, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 0 {
-				fatal(fmt.Errorf("-rebuild: bad member %q", part))
-			}
-			cfg.RebuildMembers = append(cfg.RebuildMembers, n)
-		}
+	if cfg.RebuildMembers, err = fsim.ParseMembers(*rebuild); err != nil {
+		fatal(err)
 	}
 
 	sweep := distbench.NodeSweep

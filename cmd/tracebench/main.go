@@ -19,18 +19,20 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
+	"slices"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/buffercache"
 	"repro/internal/fsim"
-	"repro/internal/simdisk"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 	"repro/internal/tracesim"
 )
+
+// storeFlags are the simulated-store flags tracebench accepts.
+var storeFlags = []string{"shards", "writeback", "writeback-batch", "writeback-highwater", "sched",
+	"disk-queue", "disks", "raid", "faults", "inject", "retry", "spares"}
 
 func main() {
 	var (
@@ -46,49 +48,15 @@ func main() {
 		stream     = flag.Bool("stream", false, "replay out of core: decode records straight off the trace stream into per-process worker queues (implies concurrent; private disk-queue mode only)")
 		dump       = flag.Bool("dump", false, "print the trace in text form instead of replaying")
 		paced      = flag.Bool("paced", false, "honour the trace's wall-clock stamps as think time (serial replay only)")
-		shards     = flag.Int("shards", 1, "page-cache lock stripes (power of two); 0 = derive from GOMAXPROCS")
 		sweep      = flag.Bool("sweep", false, "replay concurrently at shard counts 1,2,4,...,auto and report scaling")
 		workers    = flag.Int("workers", 0, "worker processes for -app Parallel (0 = its default)")
-		writeback  = flag.Int("writeback", 0, "background write-back threshold in dirty pages per stripe (0 = flush on close)")
-		wbBatch    = flag.Int("writeback-batch", 0, "pages per scheduled write-back drain (0 = whole dirty set)")
-		wbHigh     = flag.Int("writeback-highwater", 0, "dirty-page high-water mark per stripe that stalls writers (0 = never; needs -writeback)")
-		sched      = flag.String("sched", "fcfs", "disk scheduling policy (write-back batches, and the shared queue): fcfs | sstf | scan")
-		diskQueue  = flag.String("disk-queue", "private", "disk-queue mode: private (per-worker timing views) | shared (one contended queue)")
-		disks      = flag.Int("disks", 0, "simulated disks in the array (0 = config default)")
-		raid       = flag.String("raid", "", "array redundancy: raid0 | raid1 | raid5 (empty = config default)")
-		faults     = flag.String("faults", "", `device fault plan, e.g. "fail:1@0s,slow:0@1ms+200us..5ms,media:2@0s:4096+8192"`)
-		inject     = flag.String("inject", "", `seeded op-level fault schedule, e.g. "seed=7,rate=40,budget=4,ops=read|write"`)
-		retry      = flag.String("retry", "", `session recovery policy, e.g. "max=3,base=50us"`)
 		rebuild    = flag.String("rebuild", "", `rebuild these members onto spares during -concurrent replay, e.g. "1" or "1,2" (empty = off)`)
-		spares     = flag.Int("spares", 0, "hot-spare pool size the rebuilds draw from (0 = provision ad hoc)")
+		tune       fsim.Tuning
 	)
+	tune.RegisterFlags(flag.CommandLine, storeFlags...)
 	flag.Parse()
 
-	policy, err := simdisk.ParsePolicy(*sched)
-	if err != nil {
-		fatal(err)
-	}
-	queueMode, err := fsim.ParseDiskQueue(*diskQueue)
-	if err != nil {
-		fatal(err)
-	}
-	faultPlan, err := simdisk.ParseFaultPlan(*faults)
-	if err != nil {
-		fatal(err)
-	}
-	injectSpec, err := fsim.ParseInjectSpec(*inject)
-	if err != nil {
-		fatal(err)
-	}
-	retryPolicy, err := fsim.ParseRetrySpec(*retry)
-	if err != nil {
-		fatal(err)
-	}
-	raidLevel, err := simdisk.ParseLevel(*raid)
-	if err != nil {
-		fatal(err)
-	}
-	rebuildMembers, err := parseMembers(*rebuild)
+	rebuildMembers, err := fsim.ParseMembers(*rebuild)
 	if err != nil {
 		fatal(err)
 	}
@@ -98,14 +66,21 @@ func main() {
 	if *paced && (*concurrent || *stream || *sweep) {
 		fatal(fmt.Errorf("-paced charges think time on serial replay only; drop -concurrent/-stream/-sweep"))
 	}
-	if *spares < 0 {
-		fatal(fmt.Errorf("-spares must be non-negative"))
-	}
+	// A mode that builds no store, or sweeps the stripe count itself,
+	// must not swallow the flags it cannot honour.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *real && slices.Contains(storeFlags, f.Name):
+			fatal(fmt.Errorf("-%s configures the simulated store; drop it or -real", f.Name))
+		case *sweep && f.Name == "shards":
+			fatal(fmt.Errorf("-sweep picks the stripe counts itself; drop -shards"))
+		}
+	})
 
 	params := tracegen.Params{SampleFile: "sample-1gb.dat", FileSize: *fileSize, Requests: *requests, Workers: *workers}
 
 	if *tables {
-		tbs, _, err := tracesim.AllTables(params)
+		tbs, _, err := tracesim.AllTables(params, tune)
 		if err != nil {
 			fatal(err)
 		}
@@ -187,7 +162,7 @@ func main() {
 		if *real {
 			fatal(fmt.Errorf("-sweep replays against the simulator; drop -real"))
 		}
-		if err := sweepShards(name, tr, *fileSize, *writeback, policy); err != nil {
+		if err := sweepShards(name, tr, *fileSize, tune); err != nil {
 			fatal(err)
 		}
 		return
@@ -210,30 +185,9 @@ func main() {
 		}
 		store = s
 	} else {
-		cfg := fsim.DefaultConfig()
-		cfg.Cache.Shards = resolveShards(*shards)
-		cfg.Cache.WritebackThreshold = *writeback
-		cfg.Cache.WritebackBatch = *wbBatch
-		cfg.Cache.WritebackHighwater = *wbHigh
-		cfg.Cache.WritebackPolicy = policy
-		cfg.DiskQueue = queueMode
-		if *disks > 0 {
-			cfg.Disks = *disks
-		}
-		if *raid != "" {
-			cfg.RAIDLevel = raidLevel
-		}
-		if faultPlan != nil {
-			cfg.Faults = faultPlan
-		}
-		if *inject != "" {
-			cfg.Inject = injectSpec
-		}
-		if *retry != "" {
-			cfg.Retry = retryPolicy
-		}
-		if *spares > 0 {
-			cfg.Spares = *spares
+		cfg, err := tune.Apply(fsim.DefaultConfig())
+		if err != nil {
+			fatal(err)
 		}
 		s, err := fsim.NewFileStore(cfg)
 		if err != nil {
@@ -353,30 +307,22 @@ func openScanner(tracePath, app string, params tracegen.Params) (*trace.Scanner,
 	return sc, func() error { return pr.Close() }, nil
 }
 
-// resolveShards maps the -shards flag to a stripe count: 0 derives from
-// GOMAXPROCS, anything else passes through (the store validates it).
-func resolveShards(n int) int {
-	if n == 0 {
-		return buffercache.AutoShards()
-	}
-	return n
-}
-
 // sweepShards replays the trace concurrently once per shard count from 1
 // (the single-mutex baseline) doubling up to the machine-derived stripe
 // count, and prints wall-clock scaling alongside the simulated-parallel
 // numbers: elapsed (max over lanes), summed worker time, and the overlap
 // factor — the lock-striping + virtual-time ablation as a command.
-func sweepShards(name string, tr *trace.Trace, fileSize int64, writeback int, policy simdisk.SchedPolicy) error {
+func sweepShards(name string, tr *trace.Trace, fileSize int64, tune fsim.Tuning) error {
 	max := buffercache.AutoShards()
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "shards\twall time\tspeedup\tsim elapsed\tworker time\toverlap\tcache hit rate")
 	var baseline time.Duration
 	for n := 1; n <= max; n *= 2 {
-		cfg := fsim.DefaultConfig()
-		cfg.Cache.Shards = n
-		cfg.Cache.WritebackThreshold = writeback
-		cfg.Cache.WritebackPolicy = policy
+		tune.Shards = n
+		cfg, err := tune.Apply(fsim.DefaultConfig())
+		if err != nil {
+			return err
+		}
 		store, err := fsim.NewFileStore(cfg)
 		if err != nil {
 			return err
@@ -409,21 +355,4 @@ func sweepShards(name string, tr *trace.Trace, fileSize int64, writeback int, po
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
 	os.Exit(1)
-}
-
-// parseMembers parses the -rebuild flag: a comma-separated list of
-// member indices ("1" or "1,2"); empty means no rebuild.
-func parseMembers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("-rebuild: bad member %q (want a non-negative index list like \"1,2\")", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

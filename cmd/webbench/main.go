@@ -20,12 +20,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/buffercache"
 	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/simdisk"
@@ -34,111 +33,88 @@ import (
 	"repro/internal/workload"
 )
 
+// modeFlags lists, per mode, the flags the mode honours; any other flag
+// given with it is a usage error rather than silently dropped.
+var modeFlags = map[string][]string{
+	"tables": {},
+	"serve": {"addr", "lanes", "shed", "shards", "writeback", "writeback-highwater", "sched",
+		"disk-queue", "disks", "raid", "faults", "retry"},
+	"servefs":  {"addr", "shards"},
+	"load":     {"target", "clients", "requests", "posts"},
+	"degraded": {"addr", "clients", "requests", "shed", "rebuild", "disks", "raid", "faults", "spares"},
+}
+
 func main() {
 	var (
-		mode      = flag.String("mode", "tables", "tables | serve | servefs | load | degraded")
-		addr      = flag.String("addr", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "listen address for serve mode")
-		target    = flag.String("target", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "server address for load mode")
-		clients   = flag.Int("clients", 4, "concurrent clients in load mode")
-		requests  = flag.Int("requests", 50, "requests per client in load mode")
-		posts     = flag.Bool("posts", false, "mix POSTs into the load")
-		shards    = flag.Int("shards", 1, "page-cache lock stripes for serve mode (power of two); 0 = derive from GOMAXPROCS")
-		lanes     = flag.Bool("lanes", false, "serve mode: give every connection its own virtual-time session")
-		writeback = flag.Int("writeback", 0, "serve mode: background write-back threshold in dirty pages per stripe (0 = off)")
-		wbHigh    = flag.Int("writeback-highwater", 0, "serve mode: dirty-page high-water mark per stripe that stalls writers (0 = never; needs -writeback)")
-		sched     = flag.String("sched", "fcfs", "serve mode: disk scheduling policy (write-back, shared queue): fcfs | sstf | scan")
-		diskQueue = flag.String("disk-queue", "private", "serve mode: disk-queue mode: private | shared (contended queue across connection lanes; needs -lanes)")
-		disks     = flag.Int("disks", 0, "serve mode: simulated disks in the array (0 = config default)")
-		raid      = flag.String("raid", "", "serve mode: array redundancy: raid0 | raid1 | raid5 (empty = config default)")
-		faults    = flag.String("faults", "", `serve mode: device fault plan, e.g. "fail:1@0s,slow:0@1ms+200us"`)
-		retry     = flag.String("retry", "", `serve mode: session recovery policy, e.g. "max=3,base=50us" (needs -lanes to matter)`)
-		shed      = flag.String("shed", "", `serve mode: load-shedding policy, e.g. "max=8,deadline=2ms"`)
-		spares    = flag.Int("spares", 0, "degraded mode: hot-spare pool size (0 = scenario default)")
-		rebuild   = flag.String("rebuild", "", `degraded mode: members to rebuild, e.g. "1,2" (empty = scenario default)`)
+		mode     = flag.String("mode", "tables", "tables | serve | servefs | load | degraded")
+		addr     = flag.String("addr", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "listen address (serve, servefs, degraded)")
+		target   = flag.String("target", fmt.Sprintf("127.0.0.1:%d", webserver.DefaultPort), "server address for load mode")
+		clients  = flag.Int("clients", 4, "concurrent clients (load, degraded)")
+		requests = flag.Int("requests", 50, "requests per client (load, degraded)")
+		posts    = flag.Bool("posts", false, "mix POSTs into the load")
+		lanes    = flag.Bool("lanes", false, "serve mode: give every connection its own virtual-time session")
+		shedSpec = flag.String("shed", "", `load-shedding policy, e.g. "max=8,deadline=2ms" (serve; degraded default "max=8,deadline=2ms")`)
+		rebuild  = flag.String("rebuild", "", `degraded mode: members to rebuild, e.g. "1,2" (empty = scenario default)`)
+		tune     fsim.Tuning
 	)
+	// Store flags: serve honours all but -spares, servefs only -shards,
+	// degraded the array ones (see modeFlags).
+	tune.RegisterFlags(flag.CommandLine, "shards", "writeback", "writeback-highwater", "sched",
+		"disk-queue", "disks", "raid", "faults", "retry", "spares")
 	flag.Parse()
+
+	allowed, ok := modeFlags[*mode]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "webbench: unknown mode %q\n", *mode)
+		os.Exit(2)
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name != "mode" && !slices.Contains(allowed, f.Name) {
+			fatal(fmt.Errorf("-mode %s does not take -%s", *mode, f.Name))
+		}
+	})
+	shed, err := webserver.ParseShedPolicy(*shedSpec)
+	if err != nil {
+		fatal(err)
+	}
 
 	switch *mode {
 	case "tables":
 		runTables()
 	case "serve":
-		runServe(*addr, *shards, *lanes, *writeback, *wbHigh, *sched, *diskQueue, *disks, *raid, *faults, *retry, *shed)
+		runServe(*addr, *lanes, tune, shed)
 	case "servefs":
-		runServeFS(*addr, *shards)
+		runServeFS(*addr, tune)
 	case "load":
 		runLoad(*target, *clients, *requests, *posts)
 	case "degraded":
-		runDegraded(*addr, *clients, *requests, *disks, *raid, *faults, *shed, *rebuild, *spares)
-	default:
-		fmt.Fprintf(os.Stderr, "webbench: unknown mode %q\n", *mode)
-		os.Exit(2)
+		runDegraded(*addr, *clients, *requests, tune, shed, *rebuild)
 	}
 }
 
 func runTables() {
-	t5, _, err := webserver.Table5()
+	t5, _, err := webserver.Table5(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(t5.Render())
-	t6, _, err := webserver.Table6()
+	t6, _, err := webserver.Table6(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(t6.Render())
-	fig, _, err := webserver.Figure6()
+	fig, _, err := webserver.Figure6(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println(fig.RenderLines(44, 10))
 }
 
-func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched, diskQueue string, disks int, raid, faults, retry, shed string) {
-	cfg := fsim.DefaultConfig()
-	if shards == 0 {
-		shards = buffercache.AutoShards()
-	}
-	cfg.Cache.Shards = shards
-	policy, err := simdisk.ParsePolicy(sched)
-	if err != nil {
-		fatal(err)
-	}
-	queueMode, err := fsim.ParseDiskQueue(diskQueue)
-	if err != nil {
-		fatal(err)
-	}
-	if queueMode == fsim.DiskQueueShared && !lanes {
+func runServe(addr string, lanes bool, tune fsim.Tuning, shed webserver.ShedPolicy) {
+	if tune.DiskQueue == fsim.DiskQueueShared && !lanes {
 		fatal(fmt.Errorf("-disk-queue shared needs -lanes: the queue contends connection sessions"))
 	}
-	cfg.Cache.WritebackThreshold = writeback
-	cfg.Cache.WritebackHighwater = wbHigh
-	cfg.Cache.WritebackPolicy = policy
-	cfg.DiskQueue = queueMode
-	if disks > 0 {
-		cfg.Disks = disks
-	}
-	if raid != "" {
-		level, err := simdisk.ParseLevel(raid)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.RAIDLevel = level
-	}
-	if faults != "" {
-		plan, err := simdisk.ParseFaultPlan(faults)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = plan
-	}
-	if retry != "" {
-		pol, err := fsim.ParseRetrySpec(retry)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Retry = pol
-	}
-	shedPolicy, err := webserver.ParseShedPolicy(shed)
+	cfg, err := tune.Apply(fsim.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
@@ -155,7 +131,7 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 		fatal(err)
 	}
 	rt.RegisterBCL()
-	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: lanes, Shed: shedPolicy})
+	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: lanes, Shed: shed})
 	if err != nil {
 		fatal(err)
 	}
@@ -166,8 +142,8 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 	mode := "shared clock"
 	if lanes {
 		mode = "per-connection lanes"
-		if queueMode == fsim.DiskQueueShared {
-			mode = fmt.Sprintf("per-connection lanes, shared %s disk queue", policy)
+		if cfg.DiskQueue == fsim.DiskQueueShared {
+			mode = fmt.Sprintf("per-connection lanes, shared %s disk queue", cfg.Cache.WritebackPolicy)
 		}
 	}
 	fmt.Printf("serving benchmark corpus on %s with %d cache stripes, %s (ctrl-c to stop)\n",
@@ -187,12 +163,11 @@ func runServe(addr string, shards int, lanes bool, writeback, wbHigh int, sched,
 // browser, hey) becomes a workload generator against the simulator.
 // Each request runs on its own session lane; records carry the
 // simulated per-request I/O time, like the native server's.
-func runServeFS(addr string, shards int) {
-	cfg := fsim.DefaultConfig()
-	if shards == 0 {
-		shards = buffercache.AutoShards()
+func runServeFS(addr string, tune fsim.Tuning) {
+	cfg, err := tune.Apply(fsim.DefaultConfig())
+	if err != nil {
+		fatal(err)
 	}
-	cfg.Cache.Shards = shards
 	store, err := fsim.NewFileStore(cfg)
 	if err != nil {
 		fatal(err)
@@ -285,51 +260,25 @@ func runLoad(target string, clients, requests int, posts bool) {
 // zero values take the scenario defaults: a 3-way RAID1 mirror that
 // lost two members at t0, a 2-spare pool rebuilding both, and an
 // 8-in-flight / 2 ms-deadline shed policy.
-func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, rebuild string, spares int) {
-	if disks == 0 {
-		disks = 3
+func runDegraded(addr string, clients, requests int, tune fsim.Tuning, shed webserver.ShedPolicy, rebuild string) {
+	base := fsim.DefaultConfig()
+	base.Disks, base.RAIDLevel, base.Spares = 3, simdisk.RAID1, 2
+	base.Faults = &simdisk.FaultPlan{Faults: []simdisk.Fault{
+		{Disk: 1, Kind: simdisk.FaultDevice}, {Disk: 2, Kind: simdisk.FaultDevice}}}
+	cfg, err := tune.Apply(base)
+	if err != nil {
+		fatal(err)
 	}
-	if raid == "" {
-		raid = "raid1"
-	}
-	if faults == "" {
-		faults = "fail:1@0s,fail:2@0s"
-	}
-	if spares == 0 {
-		spares = 2
+	if !shed.Enabled() {
+		shed = webserver.ShedPolicy{MaxInFlight: 8, Deadline: 2 * time.Millisecond}
 	}
 	if rebuild == "" {
 		rebuild = "1,2"
 	}
-	if shed == "" {
-		shed = "max=8,deadline=2ms"
-	}
-	level, err := simdisk.ParseLevel(raid)
+	members, err := fsim.ParseMembers(rebuild)
 	if err != nil {
 		fatal(err)
 	}
-	plan, err := simdisk.ParseFaultPlan(faults)
-	if err != nil {
-		fatal(err)
-	}
-	shedPolicy, err := webserver.ParseShedPolicy(shed)
-	if err != nil {
-		fatal(err)
-	}
-	var members []int
-	for _, part := range strings.Split(rebuild, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			fatal(fmt.Errorf("-rebuild: bad member %q", part))
-		}
-		members = append(members, n)
-	}
-
-	cfg := fsim.DefaultConfig()
-	cfg.Disks = disks
-	cfg.RAIDLevel = level
-	cfg.Faults = plan
-	cfg.Spares = spares
 	store, err := fsim.NewFileStore(cfg)
 	if err != nil {
 		fatal(err)
@@ -343,7 +292,7 @@ func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, 
 		fatal(err)
 	}
 	rt.RegisterBCL()
-	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: true, Shed: shedPolicy})
+	srv, err := webserver.New(webserver.Config{Addr: addr, Store: store, Runtime: rt, Lanes: true, Shed: shed})
 	if err != nil {
 		fatal(err)
 	}
@@ -363,7 +312,7 @@ func runDegraded(addr string, clients, requests, disks int, raid, faults, shed, 
 	}()
 
 	fmt.Printf("degraded scenario on %s: %d clients x %d requests against a %s array (faults %q), rebuilding members %v from a %d-spare pool, shed policy %s\n",
-		bound, clients, requests, raid, faults, members, spares, shedPolicy)
+		bound, clients, requests, strings.ToLower(cfg.RAIDLevel.String()), cfg.Faults.String(), members, cfg.Spares, shed)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var lat metrics.Sample

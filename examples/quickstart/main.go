@@ -15,7 +15,7 @@ import (
 func main() {
 	fmt.Println("CLI I/O benchmark suite — quickstart")
 	fmt.Println("Available experiments:")
-	for _, e := range core.Experiments() {
+	for _, e := range core.DefaultOptions().Experiments() {
 		fmt.Printf("  %-12s %s\n", e.ID, e.Title)
 	}
 	fmt.Println()
@@ -23,7 +23,7 @@ func main() {
 	// Regenerate one artifact from each of the paper's three benchmarks:
 	// the model-error check (benchmark 1), the Cholesky table (benchmark
 	// 2), and the web server warm-up table (benchmark 3).
-	if err := core.Run(os.Stdout, []string{"errorcheck", "table4", "table6"}, "text"); err != nil {
+	if err := core.DefaultOptions().Run(os.Stdout, []string{"errorcheck", "table4", "table6"}, "text"); err != nil {
 		log.Fatal(err)
 	}
 }

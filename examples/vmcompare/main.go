@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/fsim"
 	"repro/internal/vm"
 	"repro/internal/vmcompare"
 )
@@ -21,7 +22,7 @@ func main() {
 	}
 	fmt.Println()
 
-	results, err := vmcompare.Compare(nil)
+	results, err := vmcompare.Compare(nil, fsim.Tuning{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,13 +12,14 @@ import (
 	"log"
 	"sync"
 
+	"repro/internal/fsim"
 	"repro/internal/metrics"
 	"repro/internal/webserver"
 	"repro/internal/workload"
 )
 
 func main() {
-	h, err := webserver.NewHarness()
+	h, err := webserver.NewHarness(fsim.Tuning{}, webserver.ShedPolicy{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -147,51 +147,6 @@ type Config struct {
 	WritebackHighwater int
 }
 
-// defaultShards is the process-wide shard count DefaultConfig hands out:
-// 1 (the paper's deterministic single-stripe configuration) unless
-// SetDefaultShards raised it.
-var defaultShards atomic.Int32
-
-// defaultWriteback / defaultWritebackPolicy are the process-wide
-// write-back settings DefaultConfig hands out: off (threshold 0) unless
-// SetDefaultWriteback enabled it. The core options registry sets these
-// for the writeback / sched_policy config keys.
-var (
-	defaultWriteback          atomic.Int32
-	defaultWritebackBatch     atomic.Int32
-	defaultWritebackPolicy    atomic.Int32
-	defaultWritebackHighwater atomic.Int32
-)
-
-// SetDefaultWriteback sets the write-back threshold, per-drain batch
-// cap (0 = unbounded), dirty-page high-water mark (0 = never stall
-// writers), and scheduling policy DefaultConfig bakes into the
-// configurations it returns; threshold 0 restores flush-on-close-only.
-// Call once at startup; it is not safe to race with running
-// experiments.
-func SetDefaultWriteback(threshold, batch, highwater int, policy simdisk.SchedPolicy) error {
-	if threshold < 0 {
-		return fmt.Errorf("buffercache: default write-back threshold %d must be non-negative", threshold)
-	}
-	if batch < 0 {
-		return fmt.Errorf("buffercache: default write-back batch %d must be non-negative", batch)
-	}
-	if highwater < 0 {
-		return fmt.Errorf("buffercache: default write-back high-water mark %d must be non-negative", highwater)
-	}
-	if highwater > 0 && threshold == 0 {
-		return fmt.Errorf("buffercache: write-back high-water mark %d requires background write-back (threshold > 0)", highwater)
-	}
-	if !policy.Valid() {
-		return fmt.Errorf("buffercache: invalid default scheduling policy %v", policy)
-	}
-	defaultWriteback.Store(int32(threshold))
-	defaultWritebackBatch.Store(int32(batch))
-	defaultWritebackHighwater.Store(int32(highwater))
-	defaultWritebackPolicy.Store(int32(policy))
-	return nil
-}
-
 // AutoShards returns the GOMAXPROCS-derived shard count: the smallest
 // power of two covering twice the processor count, clamped to [4, 256] so
 // concurrent paths stay striped even on single-core machines.
@@ -204,40 +159,19 @@ func AutoShards() int {
 	return s
 }
 
-// SetDefaultShards sets the shard count DefaultConfig bakes into the
-// configurations it returns: 0 restores the deterministic single-shard
-// default, otherwise n must be a power of two. Call once at startup (the
-// core options registry does this for the cache_shards key); it is not
-// safe to race with running experiments.
-func SetDefaultShards(n int) error {
-	if n < 0 || (n > 0 && n&(n-1) != 0) {
-		return fmt.Errorf("buffercache: default shards %d must be 0 or a power of two", n)
-	}
-	defaultShards.Store(int32(n))
-	return nil
-}
-
 // DefaultConfig returns the configuration used across the reproduction:
 // 4 KB pages, 16 MB of cache, 8-page read-ahead, write-behind enabled,
-// 1 GB/s copy bandwidth, a 1 µs hit path, and the process default shard
-// count (one stripe unless SetDefaultShards raised it).
+// 1 GB/s copy bandwidth, a 1 µs hit path, one stripe (the paper's
+// deterministic configuration) and no background write-back.
 func DefaultConfig() Config {
-	shards := int(defaultShards.Load())
-	if shards == 0 {
-		shards = 1
-	}
 	return Config{
-		PageSize:           4 << 10,
-		NumPages:           4096,
-		PrefetchPages:      8,
-		WriteBehind:        true,
-		MemCopyRate:        1 << 30,
-		HitOverhead:        time.Microsecond,
-		Shards:             shards,
-		WritebackThreshold: int(defaultWriteback.Load()),
-		WritebackBatch:     int(defaultWritebackBatch.Load()),
-		WritebackPolicy:    simdisk.SchedPolicy(defaultWritebackPolicy.Load()),
-		WritebackHighwater: int(defaultWritebackHighwater.Load()),
+		PageSize:      4 << 10,
+		NumPages:      4096,
+		PrefetchPages: 8,
+		WriteBehind:   true,
+		MemCopyRate:   1 << 30,
+		HitOverhead:   time.Microsecond,
+		Shards:        1,
 	}
 }
 

@@ -38,25 +38,6 @@ func TestAutoShardsIsStripedPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestSetDefaultShards(t *testing.T) {
-	if err := SetDefaultShards(3); err == nil {
-		t.Fatal("SetDefaultShards(3) accepted")
-	}
-	if err := SetDefaultShards(8); err != nil {
-		t.Fatal(err)
-	}
-	defer SetDefaultShards(0)
-	if got := DefaultConfig().Shards; got != 8 {
-		t.Fatalf("DefaultConfig().Shards = %d after SetDefaultShards(8)", got)
-	}
-	if err := SetDefaultShards(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := DefaultConfig().Shards; got != 1 {
-		t.Fatalf("DefaultConfig().Shards = %d after reset, want 1", got)
-	}
-}
-
 // TestShardedMatchesSingleShard replays one deterministic single-threaded
 // workload against a 1-shard and an 8-shard cache. Without eviction
 // pressure the striping must be invisible: identical durations, identical

@@ -220,18 +220,6 @@ func TestWritebackHighwaterValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative high-water mark validated")
 	}
-	if err := SetDefaultWriteback(0, 0, 4, simdisk.FCFS); err == nil {
-		t.Fatal("SetDefaultWriteback accepted a high-water mark without write-back")
-	}
-	if err := SetDefaultWriteback(8, 0, 4, simdisk.SSTF); err != nil {
-		t.Fatalf("SetDefaultWriteback rejected a valid high-water config: %v", err)
-	}
-	if got := DefaultConfig().WritebackHighwater; got != 4 {
-		t.Fatalf("DefaultConfig high-water = %d, want 4", got)
-	}
-	if err := SetDefaultWriteback(0, 0, 0, simdisk.FCFS); err != nil {
-		t.Fatalf("restoring defaults failed: %v", err)
-	}
 }
 
 // TestWritebackQuiesceDeterministic replays the same write sequence

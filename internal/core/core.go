@@ -75,14 +75,11 @@ type Experiment struct {
 	Run   func() (Result, error)
 }
 
-// Experiments returns the full registry in paper order, configured with
-// the process-wide options (the reproduction defaults unless SetOptions
-// was called).
-func Experiments() []Experiment { return ExperimentsWith(current) }
-
-// ExperimentsWith returns the registry configured by opts; zero fields
-// take the defaults.
-func ExperimentsWith(opts Options) []Experiment {
+// Experiments returns the full registry in paper order, configured by
+// opts; zero fields take the defaults. Every store and server an
+// experiment builds is built from opts, so registries with different
+// options coexist in one process.
+func (opts Options) Experiments() []Experiment {
 	opts = opts.fillDefaults()
 	machine := opts.Machine
 	base := opts.Base
@@ -197,19 +194,19 @@ func ExperimentsWith(opts Options) []Experiment {
 			},
 		},
 		tableExperiment("table1", "Table 1: data mining (Dmine) operation times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table1(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table1(traceParams, opts.Store); return t, err }),
 		tableExperiment("table2", "Table 2: Titan operation times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table2(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table2(traceParams, opts.Store); return t, err }),
 		tableExperiment("table3", "Table 3: LU per-request seek times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table3(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table3(traceParams, opts.Store); return t, err }),
 		tableExperiment("table4", "Table 4: Cholesky per-request seek/read times",
-			func() (*metrics.Table, error) { t, _, err := tracesim.Table4(traceParams); return t, err }),
+			func() (*metrics.Table, error) { t, _, err := tracesim.Table4(traceParams, opts.Store); return t, err }),
 		{
 			ID:    "table5",
 			Title: "Table 5: web server first read/write response times",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				tb, _, err := webserver.Table5()
+				tb, _, err := webserver.Table5(opts.Store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -221,7 +218,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Table 6: repeated reads of the same file",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				tb, times, err := webserver.Table6()
+				tb, times, err := webserver.Table6(opts.Store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -234,7 +231,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Figure 6: read response time vs trial number",
 			Kind:  KindFigure,
 			Run: func() (Result, error) {
-				fig, times, err := webserver.Figure6()
+				fig, times, err := webserver.Figure6(opts.Store, opts.Shed)
 				if err != nil {
 					return Result{}, err
 				}
@@ -246,7 +243,7 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Extension (§5 future work): Table 6 workload across virtual machines",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				results, err := vmcompare.Compare(nil)
+				results, err := vmcompare.Compare(nil, opts.Store)
 				if err != nil {
 					return Result{}, err
 				}
@@ -335,14 +332,10 @@ func ExperimentsWith(opts Options) []Experiment {
 			Title: "Extension (§5 future work): distributed load scaling",
 			Kind:  KindTable,
 			Run: func() (Result, error) {
-				cfg := distbench.DefaultConfig()
-				// The fault-tolerance options ride into the distributed
-				// sweep: with a deadline the clients route by consistent
-				// hash and fail over; with a net-fault plan the fabric
-				// loses nodes mid-run.
-				cfg.Deadline = current.RPCDeadline
-				cfg.Retry = current.Retry
-				cfg.NetFaults = current.NetFaults
+				cfg, err := opts.distConfig()
+				if err != nil {
+					return Result{}, err
+				}
 				results, err := distbench.Sweep(cfg, distbench.NodeSweep)
 				if err != nil {
 					return Result{}, err
@@ -383,9 +376,10 @@ func tableExperiment(id, title string, run func() (*metrics.Table, error)) Exper
 	}
 }
 
-// IDs returns every registered experiment id, in paper order.
+// IDs returns every registered experiment id, in paper order; the ids
+// do not depend on the options.
 func IDs() []string {
-	exps := Experiments()
+	exps := Options{}.Experiments()
 	out := make([]string, len(exps))
 	for i, e := range exps {
 		out[i] = e.ID
@@ -393,9 +387,9 @@ func IDs() []string {
 	return out
 }
 
-// ByID finds an experiment.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
+// ByID finds an experiment in opts' registry.
+func (opts Options) ByID(id string) (Experiment, bool) {
+	for _, e := range opts.Experiments() {
 		if e.ID == id {
 			return e, true
 		}
@@ -403,26 +397,38 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Run executes the named experiments ("all" or empty = every one) and
-// writes their rendered artifacts to w. CSV output is selected by
-// format == "csv".
-func Run(w io.Writer, ids []string, format string) error {
-	var selected []Experiment
+// selectExperiments validates opts and resolves ids ("all" or empty =
+// every experiment) against its registry, dropping repeats.
+func (opts Options) selectExperiments(ids []string) ([]Experiment, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		selected = Experiments()
-	} else {
-		seen := map[string]bool{}
-		for _, id := range ids {
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			e, ok := ByID(id)
-			if !ok {
-				return fmt.Errorf("core: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
-			}
-			selected = append(selected, e)
+		return opts.Experiments(), nil
+	}
+	var selected []Experiment
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			continue
 		}
+		seen[id] = true
+		e, ok := opts.ByID(id)
+		if !ok {
+			return nil, fmt.Errorf("core: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
+		}
+		selected = append(selected, e)
+	}
+	return selected, nil
+}
+
+// Run executes the named experiments ("all" or empty = every one) under
+// opts and writes their rendered artifacts to w. CSV output is selected
+// by format == "csv".
+func (opts Options) Run(w io.Writer, ids []string, format string) error {
+	selected, err := opts.selectExperiments(ids)
+	if err != nil {
+		return err
 	}
 	for _, e := range selected {
 		res, err := e.Run()
@@ -444,24 +450,16 @@ func Run(w io.Writer, ids []string, format string) error {
 	return nil
 }
 
-// RunToDir executes the named experiments and writes each artifact to
-// dir as <id>.txt (and <id>.csv when the experiment has a CSV form),
-// creating dir if needed.
-func RunToDir(dir string, ids []string) error {
+// RunToDir executes the named experiments under opts and writes each
+// artifact to dir as <id>.txt (and <id>.csv when the experiment has a
+// CSV form), creating dir if needed.
+func (opts Options) RunToDir(dir string, ids []string) error {
+	selected, err := opts.selectExperiments(ids)
+	if err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("core: creating %s: %w", dir, err)
-	}
-	var selected []Experiment
-	if len(ids) == 0 || (len(ids) == 1 && ids[0] == "all") {
-		selected = Experiments()
-	} else {
-		for _, id := range ids {
-			e, ok := ByID(id)
-			if !ok {
-				return fmt.Errorf("core: unknown experiment %q", id)
-			}
-			selected = append(selected, e)
-		}
 	}
 	for _, e := range selected {
 		res, err := e.Run()

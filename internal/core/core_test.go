@@ -26,11 +26,11 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	e, ok := ByID("fig4")
+	e, ok := DefaultOptions().ByID("fig4")
 	if !ok || e.ID != "fig4" || e.Kind != KindFigure {
 		t.Fatalf("ByID(fig4) = %+v, %v", e, ok)
 	}
-	if _, ok := ByID("nope"); ok {
+	if _, ok := DefaultOptions().ByID("nope"); ok {
 		t.Fatal("unknown id found")
 	}
 }
@@ -46,7 +46,7 @@ func TestKindString(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"errorcheck"}, "text"); err != nil {
+	if err := DefaultOptions().Run(&buf, []string{"errorcheck"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -56,14 +56,14 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := Run(&bytes.Buffer{}, []string{"bogus"}, "text"); err == nil {
+	if err := DefaultOptions().Run(&bytes.Buffer{}, []string{"bogus"}, "text"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunDeduplicates(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"errorcheck", "errorcheck"}, "text"); err != nil {
+	if err := DefaultOptions().Run(&buf, []string{"errorcheck", "errorcheck"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "=== errorcheck"); n != 1 {
@@ -73,7 +73,7 @@ func TestRunDeduplicates(t *testing.T) {
 
 func TestRunCSVFormat(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"fig3"}, "csv"); err != nil {
+	if err := DefaultOptions().Run(&buf, []string{"fig3"}, "csv"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "component,CPU,IO") {
@@ -96,7 +96,7 @@ func TestSortIDs(t *testing.T) {
 // servers; the appmodel full-scale runs are covered by TestRunAll below.
 func TestRunWebExperiments(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"table5", "table6"}, "text"); err != nil {
+	if err := DefaultOptions().Run(&buf, []string{"table5", "table6"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -112,7 +112,7 @@ func TestRunAll(t *testing.T) {
 		t.Skip("full suite run in -short mode")
 	}
 	var buf bytes.Buffer
-	if err := Run(&buf, []string{"all"}, "text"); err != nil {
+	if err := DefaultOptions().Run(&buf, []string{"all"}, "text"); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -125,7 +125,7 @@ func TestRunAll(t *testing.T) {
 
 func TestRunToDir(t *testing.T) {
 	dir := t.TempDir()
-	if err := RunToDir(dir, []string{"errorcheck", "fig1"}); err != nil {
+	if err := DefaultOptions().RunToDir(dir, []string{"errorcheck", "fig1"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"errorcheck.txt", "fig1.txt"} {
@@ -143,7 +143,13 @@ func TestRunToDir(t *testing.T) {
 }
 
 func TestRunToDirUnknownExperiment(t *testing.T) {
-	if err := RunToDir(t.TempDir(), []string{"bogus"}); err == nil {
+	err := DefaultOptions().RunToDir(t.TempDir(), []string{"bogus"})
+	if err == nil {
 		t.Fatal("unknown id accepted")
+	}
+	// Run and RunToDir select through one helper: same error, naming
+	// the ids that do exist.
+	if runErr := DefaultOptions().Run(&bytes.Buffer{}, []string{"bogus"}, "text"); runErr.Error() != err.Error() || !strings.Contains(err.Error(), "fig1") {
+		t.Fatalf("RunToDir: %v\nRun:      %v", err, runErr)
 	}
 }

@@ -9,17 +9,15 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/netsim"
 	"repro/internal/simdisk"
+	"repro/internal/webserver"
 )
 
 func TestDefaultOptionsValid(t *testing.T) {
-	opts := DefaultOptions()
-	if err := opts.Machine.Validate(); err != nil {
+	if err := DefaultOptions().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if opts.Base <= 0 {
-		t.Fatal("zero base")
-	}
-	if err := opts.TraceParams.Validate(); err != nil {
+	// The zero Options is the paper's configuration too.
+	if err := (Options{}).Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,22 +51,69 @@ func TestLoadOptionsOverlays(t *testing.T) {
 	}
 }
 
+// TestLoadOptionsRejects: every invalid value fails loudly, and the
+// error names the key that carried it.
 func TestLoadOptionsRejects(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  string
+		name, cfg, key string
 	}{
-		{"unknown key", `{"cpuz": 8}`},
-		{"invalid machine", `{"cpus": 0}`},
-		{"negative base", `{"base_seconds": -1}`},
-		{"bad json", `{`},
-		{"bad trace", `{"trace_requests": -5}`},
-		{"non-power-of-two shards", `{"cache_shards": 6}`},
-		{"negative shards", `{"cache_shards": -2}`},
+		{"unknown key", `{"cpuz": 8}`, "cpuz"},
+		{"invalid machine", `{"cpus": 0}`, "cpus"},
+		{"negative base", `{"base_seconds": -1}`, "base_seconds"},
+		{"zero base", `{"base_seconds": 0}`, "base_seconds"},
+		{"bad json", `{`, "parsing config"},
+		{"bad trace", `{"trace_requests": -5}`, "trace_requests"},
+		{"non-power-of-two shards", `{"cache_shards": 6}`, "cache_shards"},
+		{"negative shards", `{"cache_shards": -2}`, "cache_shards"},
+		{"negative writeback", `{"writeback": -1}`, "writeback"},
+		{"negative writeback batch", `{"writeback": 8, "writeback_batch": -1}`, "writeback_batch"},
+		{"high-water without writeback", `{"writeback_highwater": 64}`, "writeback_highwater"},
+		{"negative high-water", `{"writeback": 8, "writeback_highwater": -1}`, "writeback_highwater"},
+		{"unknown policy", `{"sched_policy": "elevator-of-doom"}`, "sched_policy"},
+		{"unknown disk queue", `{"disk_queue": "communal"}`, "disk_queue"},
+		{"fault on a missing disk", `{"faults": "slow:9@1ms+200us"}`, "faults"},
+		{"bad inject", `{"inject": "budget=-1"}`, "inject"},
+		{"bad retry", `{"retry": "max=-1"}`, "retry"},
+		{"bad shed", `{"shed": "max=-1"}`, "shed"},
+		{"negative spares", `{"spares": -1}`, "spares"},
+		{"bad deadline", `{"rpc_deadline": "soon"}`, "rpc_deadline"},
+		{"negative deadline", `{"rpc_deadline": "-1ms"}`, "rpc_deadline"},
+		{"bad plan", `{"rpc_deadline": "5ms", "net_faults": "explode:server0@1ms"}`, "net_faults"},
+		{"plan without deadline", `{"net_faults": "kill:server0@20ms"}`, "net_faults"},
 	}
 	for _, tc := range cases {
-		if _, err := LoadOptions(strings.NewReader(tc.cfg)); err == nil {
+		_, err := LoadOptions(strings.NewReader(tc.cfg))
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.key) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.key)
+		}
+	}
+}
+
+// TestOptionsValidateRejects: options built in code get the same rules
+// as a config file, as an error instead of a silent reset.
+func TestOptionsValidateRejects(t *testing.T) {
+	cases := map[string]func(*Options){
+		"shards not a power of two":     func(o *Options) { o.Store.Shards = 3 },
+		"high-water without write-back": func(o *Options) { o.Store.WritebackHighwater = 4 },
+		"negative spares":               func(o *Options) { o.Store.Spares = -1 },
+		"bad inject":                    func(o *Options) { o.Store.Inject.Budget = -1 },
+		"bad retry":                     func(o *Options) { o.Store.Retry.Max = -1 },
+		"bad shed":                      func(o *Options) { o.Shed.MaxInFlight = -1 },
+		"negative deadline":             func(o *Options) { o.RPCDeadline = -time.Millisecond },
+		"net faults nobody can detect": func(o *Options) {
+			o.NetFaults = &netsim.FaultPlan{Faults: []netsim.Fault{{Target: "server0", Kind: netsim.FaultKill}}}
+		},
+	}
+	for name, mutate := range cases {
+		opts := DefaultOptions()
+		mutate(&opts)
+		if err := opts.Validate(); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+		if err := opts.Run(new(strings.Builder), []string{"fig1"}, "text"); err == nil {
+			t.Errorf("%s: Run accepted the options", name)
 		}
 	}
 }
@@ -78,38 +123,40 @@ func TestLoadOptionsCacheShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.CacheShards != 8 {
-		t.Fatalf("CacheShards = %d, want 8", opts.CacheShards)
+	if opts.Store.Shards != 8 {
+		t.Fatalf("Store.Shards = %d, want 8", opts.Store.Shards)
 	}
 	// Explicit 0 asks for the machine-derived stripe count.
 	opts, err = LoadOptions(strings.NewReader(`{"cache_shards": 0}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.CacheShards != buffercache.AutoShards() {
-		t.Fatalf("CacheShards = %d, want AutoShards %d", opts.CacheShards, buffercache.AutoShards())
+	if opts.Store.Shards != buffercache.AutoShards() {
+		t.Fatalf("Store.Shards = %d, want AutoShards %d", opts.Store.Shards, buffercache.AutoShards())
 	}
 }
 
+// storeUnder builds a store the way every registry experiment does:
+// the options' store tuning applied to the replay calibration.
+func storeUnder(t *testing.T, opts Options) *fsim.FileStore {
+	t.Helper()
+	cfg, err := opts.Store.Apply(fsim.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := fsim.MustNewFileStore(cfg)
+	t.Cleanup(func() { store.Close() })
+	return store
+}
+
 func TestSetOptionsCacheShardsReachStores(t *testing.T) {
-	defer SetOptions(DefaultOptions())
 	opts := DefaultOptions()
-	opts.CacheShards = 8
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	opts.Store.Shards = 8
+	if got := storeUnder(t, opts).Cache().NumShards(); got != 8 {
+		t.Fatalf("store built under Shards=8 has %d shards", got)
 	}
-	if got := store.Cache().NumShards(); got != 8 {
-		t.Fatalf("store built under CacheShards=8 has %d shards", got)
-	}
-	SetOptions(DefaultOptions())
-	store, err = fsim.NewFileStore(fsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := store.Cache().NumShards(); got != 1 {
-		t.Fatalf("store after reset has %d shards, want 1", got)
+	if got := storeUnder(t, DefaultOptions()).Cache().NumShards(); got != 1 {
+		t.Fatalf("store under the defaults has %d shards, want 1", got)
 	}
 }
 
@@ -118,14 +165,8 @@ func TestLoadOptionsWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Writeback != 32 || opts.SchedPolicy != simdisk.SSTF {
-		t.Fatalf("writeback options = %d/%v", opts.Writeback, opts.SchedPolicy)
-	}
-	if _, err := LoadOptions(strings.NewReader(`{"writeback": -1}`)); err == nil {
-		t.Fatal("negative writeback accepted")
-	}
-	if _, err := LoadOptions(strings.NewReader(`{"sched_policy": "elevator-of-doom"}`)); err == nil {
-		t.Fatal("unknown policy accepted")
+	if opts.Store.Writeback != 32 || opts.Store.SchedPolicy != simdisk.SSTF {
+		t.Fatalf("writeback options = %d/%v", opts.Store.Writeback, opts.Store.SchedPolicy)
 	}
 }
 
@@ -134,61 +175,34 @@ func TestLoadOptionsWritebackHighwater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.WritebackHighwater != 64 {
-		t.Fatalf("writeback_highwater = %d, want 64", opts.WritebackHighwater)
+	if opts.Store.WritebackHighwater != 64 {
+		t.Fatalf("writeback_highwater = %d, want 64", opts.Store.WritebackHighwater)
 	}
-	if _, err := LoadOptions(strings.NewReader(`{"writeback_highwater": 64}`)); err == nil {
-		t.Fatal("high-water mark without writeback accepted")
-	}
-	if _, err := LoadOptions(strings.NewReader(`{"writeback": 8, "writeback_highwater": -1}`)); err == nil {
-		t.Fatal("negative high-water mark accepted")
-	}
-
-	defer SetOptions(DefaultOptions())
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	if got := store.Cache().Config().WritebackHighwater; got != 64 {
+	if got := storeUnder(t, opts).Cache().Config().WritebackHighwater; got != 64 {
 		t.Fatalf("store built under highwater=64 got %d", got)
 	}
 }
 
 func TestSetOptionsWritebackReachesStores(t *testing.T) {
-	defer SetOptions(DefaultOptions())
 	opts := DefaultOptions()
-	opts.Writeback = 16
-	opts.SchedPolicy = simdisk.SCAN
-	SetOptions(opts)
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
+	opts.Store.Writeback = 16
+	opts.Store.SchedPolicy = simdisk.SCAN
+	store := storeUnder(t, opts)
 	if !store.Cache().WritebackEnabled() {
 		t.Fatal("store built under Writeback=16 has write-back disabled")
 	}
 	if got := store.Cache().Config().WritebackPolicy; got != simdisk.SCAN {
 		t.Fatalf("write-back policy = %v, want SCAN", got)
 	}
-	SetOptions(DefaultOptions())
-	store, err = fsim.NewFileStore(fsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Cache().WritebackEnabled() {
-		t.Fatal("store after reset still has write-back enabled")
+	if storeUnder(t, DefaultOptions()).Cache().WritebackEnabled() {
+		t.Fatal("store under the defaults has write-back enabled")
 	}
 }
 
 func TestSetOptionsAffectsRegistry(t *testing.T) {
-	defer SetOptions(DefaultOptions())
 	opts := DefaultOptions()
 	opts.Base = 1 * time.Second
-	SetOptions(opts)
-	e, ok := ByID("errorcheck")
+	e, ok := opts.ByID("errorcheck")
 	if !ok {
 		t.Fatal("errorcheck missing")
 	}
@@ -203,13 +217,16 @@ func TestSetOptionsAffectsRegistry(t *testing.T) {
 }
 
 func TestLoadOptionsFaultTolerance(t *testing.T) {
-	cfg := `{"spares": 2, "rpc_deadline": "5ms", "net_faults": "kill:server0@20ms,drop:link1@10ms+5ms"}`
+	cfg := `{"spares": 2, "shed": "max=8,deadline=2ms", "rpc_deadline": "5ms", "net_faults": "kill:server0@20ms,drop:link1@10ms+5ms"}`
 	opts, err := LoadOptions(strings.NewReader(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Spares != 2 {
-		t.Fatalf("spares = %d", opts.Spares)
+	if opts.Store.Spares != 2 {
+		t.Fatalf("spares = %d", opts.Store.Spares)
+	}
+	if want := (webserver.ShedPolicy{MaxInFlight: 8, Deadline: 2 * time.Millisecond}); opts.Shed != want {
+		t.Fatalf("shed = %+v", opts.Shed)
 	}
 	if opts.RPCDeadline != 5*time.Millisecond {
 		t.Fatalf("rpc_deadline = %v", opts.RPCDeadline)
@@ -217,39 +234,64 @@ func TestLoadOptionsFaultTolerance(t *testing.T) {
 	if opts.NetFaults == nil || len(opts.NetFaults.Faults) != 2 {
 		t.Fatalf("net_faults = %+v", opts.NetFaults)
 	}
-
-	for _, tc := range []struct {
-		name string
-		cfg  string
-	}{
-		{"negative spares", `{"spares": -1}`},
-		{"bad deadline", `{"rpc_deadline": "soon"}`},
-		{"negative deadline", `{"rpc_deadline": "-1ms"}`},
-		{"bad plan", `{"rpc_deadline": "5ms", "net_faults": "explode:server0@1ms"}`},
-		{"plan without deadline", `{"net_faults": "kill:server0@20ms"}`},
-	} {
-		if _, err := LoadOptions(strings.NewReader(tc.cfg)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
 }
 
 func TestSetOptionsSparesReachStores(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Spares = 3
-	SetOptions(opts)
-	defer SetOptions(DefaultOptions())
-	store := fsim.MustNewFileStore(fsim.DefaultConfig())
-	defer store.Close()
+	opts.Store.Spares = 3
+	store := storeUnder(t, opts)
 	if store.SparePool() == nil || store.SparePool().Available() != 3 {
 		t.Fatalf("store did not pick up the configured spare pool: %+v", store.SparePool())
 	}
-	// Dropped combination: a net-fault plan without a detectable deadline.
-	opts = DefaultOptions()
-	opts.NetFaults = &netsim.FaultPlan{Faults: []netsim.Fault{{Target: "server0", Kind: netsim.FaultKill}}}
-	SetOptions(opts)
-	defer SetOptions(DefaultOptions())
-	if Current().NetFaults != nil {
-		t.Fatal("undetectable net-fault plan kept")
+}
+
+// TestRegistriesKeepTheirOwnOptions runs distload and table1 from two
+// registries built from different Options at the same time: each must
+// see its own store tuning, deadline and fabric faults, which no
+// process-wide configuration could give them.
+func TestRegistriesKeepTheirOwnOptions(t *testing.T) {
+	faulty := DefaultOptions()
+	faulty.TraceParams.FileSize, faulty.TraceParams.Requests = 64<<20, 40
+	plain := faulty
+	faulty.Store = fsim.Tuning{Disks: 4, RAIDLevel: simdisk.RAID5,
+		Faults: &simdisk.FaultPlan{Faults: []simdisk.Fault{{Disk: 1, Kind: simdisk.FaultDevice}}}}
+	faulty.RPCDeadline = 5 * time.Millisecond
+	faulty.NetFaults = &netsim.FaultPlan{Faults: []netsim.Fault{
+		{Target: "server0", Kind: netsim.FaultKill, At: 20 * time.Millisecond}}}
+
+	type key struct{ registry, id string }
+	got := map[key]*Result{}
+	t.Run("concurrently", func(t *testing.T) {
+		for name, opts := range map[string]Options{"faulty": faulty, "plain": plain} {
+			for _, id := range []string{"distload", "table1"} {
+				res := new(Result)
+				got[key{name, id}] = res
+				t.Run(name+"/"+id, func(t *testing.T) {
+					t.Parallel()
+					e, _ := opts.ByID(id)
+					var err error
+					if *res, err = e.Run(); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+	})
+	note := "net faults: " + faulty.NetFaults.String()
+	if notes := strings.Join(got[key{"faulty", "distload"}].Notes, "\n"); !strings.Contains(notes, note) {
+		t.Errorf("faulty registry's distload ran without its fault plan; notes:\n%s", notes)
+	}
+	if notes := strings.Join(got[key{"plain", "distload"}].Notes, "\n"); strings.Contains(notes, "net faults") {
+		t.Errorf("plain registry's distload picked up a fault plan; notes:\n%s", notes)
+	}
+	if got[key{"faulty", "distload"}].Text == got[key{"plain", "distload"}].Text {
+		t.Error("distload printed the same sweep with and without a killed server")
+	}
+	if got[key{"faulty", "table1"}].Text == got[key{"plain", "table1"}].Text {
+		t.Error("table1 printed the same times on a degraded RAID5 array and a healthy disk")
+	}
+	alone, _ := plain.ByID("table1")
+	if res, err := alone.Run(); err != nil || res.Text != got[key{"plain", "table1"}].Text {
+		t.Errorf("plain table1 beside a faulty registry differs from plain table1 alone (err %v)", err)
 	}
 }

@@ -3,7 +3,6 @@ package fsim
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // DiskQueueMode selects how concurrent sessions' disk requests are
@@ -51,23 +50,4 @@ func ParseDiskQueue(s string) (DiskQueueMode, error) {
 	default:
 		return DiskQueuePrivate, fmt.Errorf("fsim: unknown disk-queue mode %q (want private or shared)", s)
 	}
-}
-
-// defaultDiskQueue is the process-wide mode DefaultConfig bakes into new
-// configurations; the core options registry sets it once at startup,
-// before any store is built, mirroring buffercache's defaults.
-var defaultDiskQueue atomic.Int32
-
-// SetDefaultDiskQueue sets the disk-queue mode DefaultConfig returns.
-func SetDefaultDiskQueue(m DiskQueueMode) error {
-	if !m.Valid() {
-		return fmt.Errorf("fsim: invalid disk-queue mode %d", int(m))
-	}
-	defaultDiskQueue.Store(int32(m))
-	return nil
-}
-
-// DefaultDiskQueue returns the process-wide disk-queue mode.
-func DefaultDiskQueue() DiskQueueMode {
-	return DiskQueueMode(defaultDiskQueue.Load())
 }

@@ -177,11 +177,6 @@ func DefaultConfig() Config {
 		Disk:             simdisk.MemoryBackedParams(),
 		Disks:            1,
 		StripeUnit:       64 << 10,
-		DiskQueue:        DefaultDiskQueue(),
-		Faults:           DefaultFaults(),
-		Inject:           DefaultInject(),
-		Retry:            DefaultRetry(),
-		Spares:           DefaultSpares(),
 	}
 }
 

@@ -16,11 +16,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/simdisk"
 )
 
 // OpKind names a session operation class for fault targeting.
@@ -389,72 +386,4 @@ func ParseRetrySpec(s string) (RetryPolicy, error) {
 		}
 	}
 	return p, p.Validate()
-}
-
-// Process-wide fault defaults, pushed by core.SetOptions the same way
-// the disk-queue mode is: DefaultConfig folds them in, so registry
-// experiments and servers pick up a configured fault regime without
-// threading it through every construction site.
-var (
-	faultDefMu     sync.Mutex
-	defFaultPlan   *simdisk.FaultPlan
-	defInjectSpec  InjectSpec
-	defRetryPolicy RetryPolicy
-	defSpares      int
-)
-
-// SetDefaultFaults installs the process-default device fault plan.
-func SetDefaultFaults(plan *simdisk.FaultPlan) {
-	faultDefMu.Lock()
-	defFaultPlan = plan
-	faultDefMu.Unlock()
-}
-
-// DefaultFaults returns the process-default device fault plan.
-func DefaultFaults() *simdisk.FaultPlan {
-	faultDefMu.Lock()
-	defer faultDefMu.Unlock()
-	return defFaultPlan
-}
-
-// SetDefaultInject installs the process-default op-injection spec.
-func SetDefaultInject(spec InjectSpec) {
-	faultDefMu.Lock()
-	defInjectSpec = spec
-	faultDefMu.Unlock()
-}
-
-// DefaultInject returns the process-default op-injection spec.
-func DefaultInject() InjectSpec {
-	faultDefMu.Lock()
-	defer faultDefMu.Unlock()
-	return defInjectSpec
-}
-
-// SetDefaultRetry installs the process-default retry policy.
-func SetDefaultRetry(p RetryPolicy) {
-	faultDefMu.Lock()
-	defRetryPolicy = p
-	faultDefMu.Unlock()
-}
-
-// DefaultRetry returns the process-default retry policy.
-func DefaultRetry() RetryPolicy {
-	faultDefMu.Lock()
-	defer faultDefMu.Unlock()
-	return defRetryPolicy
-}
-
-// SetDefaultSpares installs the process-default hot-spare pool size.
-func SetDefaultSpares(n int) {
-	faultDefMu.Lock()
-	defSpares = n
-	faultDefMu.Unlock()
-}
-
-// DefaultSpares returns the process-default hot-spare pool size.
-func DefaultSpares() int {
-	faultDefMu.Lock()
-	defer faultDefMu.Unlock()
-	return defSpares
 }

@@ -10,14 +10,19 @@ import (
 )
 
 // RunApp generates the named application's synthetic trace and replays it
-// on a fresh simulated store, returning the report. It is the common path
-// behind the Table 1-4 drivers.
-func RunApp(app string, params tracegen.Params) (*Report, error) {
+// on a fresh simulated store — the replay calibration under tune —
+// returning the report. It is the common path behind the Table 1-4
+// drivers.
+func RunApp(app string, params tracegen.Params, tune fsim.Tuning) (*Report, error) {
 	tr, err := tracegen.Generate(app, params)
 	if err != nil {
 		return nil, err
 	}
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
+	cfg, err := tune.Apply(fsim.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	store, err := fsim.NewFileStore(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -28,8 +33,8 @@ func RunApp(app string, params tracegen.Params) (*Report, error) {
 
 // Table1 regenerates the paper's Table 1: the data-mining application's
 // data size and average read/open/close/seek times.
-func Table1(params tracegen.Params) (*metrics.Table, *Report, error) {
-	rep, err := RunApp("Dmine", params)
+func Table1(params tracegen.Params, tune fsim.Tuning) (*metrics.Table, *Report, error) {
+	rep, err := RunApp("Dmine", params, tune)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -43,8 +48,8 @@ func Table1(params tracegen.Params) (*metrics.Table, *Report, error) {
 
 // Table2 regenerates the paper's Table 2: the Titan application's data
 // size and average read/open/close times.
-func Table2(params tracegen.Params) (*metrics.Table, *Report, error) {
-	rep, err := RunApp("Titan", params)
+func Table2(params tracegen.Params, tune fsim.Tuning) (*metrics.Table, *Report, error) {
+	rep, err := RunApp("Titan", params, tune)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -58,8 +63,8 @@ func Table2(params tracegen.Params) (*metrics.Table, *Report, error) {
 // Table3 regenerates the paper's Table 3: the LU factorization's six
 // seek requests ("data size" is the seek target) with per-request seek
 // times, plus the open/close times reported in its caption text.
-func Table3(params tracegen.Params) (*metrics.Table, *Report, error) {
-	rep, err := RunApp("LU", params)
+func Table3(params tracegen.Params, tune fsim.Tuning) (*metrics.Table, *Report, error) {
+	rep, err := RunApp("LU", params, tune)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,8 +86,8 @@ func Table3(params tracegen.Params) (*metrics.Table, *Report, error) {
 // Table4 regenerates the paper's Table 4: the sparse Cholesky
 // factorization's sixteen reads with per-request seek and read times,
 // plus open/close in the caption.
-func Table4(params tracegen.Params) (*metrics.Table, *Report, error) {
-	rep, err := RunApp("Cholesky", params)
+func Table4(params tracegen.Params, tune fsim.Tuning) (*metrics.Table, *Report, error) {
+	rep, err := RunApp("Cholesky", params, tune)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -102,12 +107,12 @@ func Table4(params tracegen.Params) (*metrics.Table, *Report, error) {
 }
 
 // AllTables runs Tables 1-4 and returns them in order.
-func AllTables(params tracegen.Params) ([]*metrics.Table, []*Report, error) {
-	type runner func(tracegen.Params) (*metrics.Table, *Report, error)
+func AllTables(params tracegen.Params, tune fsim.Tuning) ([]*metrics.Table, []*Report, error) {
+	type runner func(tracegen.Params, fsim.Tuning) (*metrics.Table, *Report, error)
 	var tables []*metrics.Table
 	var reports []*Report
 	for _, run := range []runner{Table1, Table2, Table3, Table4} {
-		tb, rep, err := run(params)
+		tb, rep, err := run(params, tune)
 		if err != nil {
 			return nil, nil, err
 		}

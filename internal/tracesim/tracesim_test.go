@@ -21,7 +21,7 @@ func testParams() tracegen.Params {
 
 func TestReplayAllApps(t *testing.T) {
 	for _, app := range tracegen.AppNames {
-		rep, err := RunApp(app, testParams())
+		rep, err := RunApp(app, testParams(), fsim.Tuning{})
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
@@ -38,7 +38,7 @@ func TestCloseSlowerThanOpenAcrossAllTraces(t *testing.T) {
 	// §3.4: "for all trace files the time spent closing a file was longer
 	// than the time taken to open the file."
 	for _, app := range tracegen.AppNames {
-		rep, err := RunApp(app, testParams())
+		rep, err := RunApp(app, testParams(), fsim.Tuning{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestCloseSlowerThanOpenAcrossAllTraces(t *testing.T) {
 func TestSeekCheaperThanRead(t *testing.T) {
 	// The paper's seek times (~1e-4 ms) are far below its read times
 	// (~1e-3 ms and up): seeks move a pointer, reads move data.
-	rep, err := RunApp("Dmine", testParams())
+	rep, err := RunApp("Dmine", testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDmineOrderingMatchesTable1(t *testing.T) {
 	// its close time; a 131072-byte transfer is memcopy-bound in our
 	// physical model, so reads land above close instead — recorded as a
 	// deviation in EXPERIMENTS.md.)
-	rep, err := RunApp("Dmine", testParams())
+	rep, err := RunApp("Dmine", testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCholeskyReadSpikes(t *testing.T) {
 	// Table 4's signature: some mid-size reads cost 100x more than other
 	// reads (page-fault spikes), and a larger read can be cheaper than a
 	// smaller one.
-	rep, err := RunApp("Cholesky", testParams())
+	rep, err := RunApp("Cholesky", testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCholeskyReadSpikes(t *testing.T) {
 
 func TestLUSeekTimesTiny(t *testing.T) {
 	// Table 3: seeks are ~1e-4 ms, order of 100 ns — pointer updates.
-	rep, err := RunApp("LU", testParams())
+	rep, err := RunApp("LU", testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestReplayPreparesSampleOnce(t *testing.T) {
 }
 
 func TestReportGenericTable(t *testing.T) {
-	rep, err := RunApp("Dmine", testParams())
+	rep, err := RunApp("Dmine", testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestReportGenericTable(t *testing.T) {
 }
 
 func TestTables1Through4(t *testing.T) {
-	tables, reports, err := AllTables(testParams())
+	tables, reports, err := AllTables(testParams(), fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTables1Through4(t *testing.T) {
 
 func TestReplayDeterministic(t *testing.T) {
 	run := func() string {
-		tb, _, err := Table4(testParams())
+		tb, _, err := Table4(testParams(), fsim.Tuning{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,8 +58,8 @@ func (r ProfileResult) WarmupFactor() float64 {
 
 // runProfile executes the Table 6 pipeline on one profile over a fresh
 // store.
-func runProfile(p vm.Profile) (ProfileResult, error) {
-	store, err := fsim.NewFileStore(fsim.DefaultConfig())
+func runProfile(p vm.Profile, cfg fsim.Config) (ProfileResult, error) {
+	store, err := fsim.NewFileStore(cfg)
 	if err != nil {
 		return ProfileResult{}, err
 	}
@@ -89,14 +89,20 @@ func runProfile(p vm.Profile) (ProfileResult, error) {
 	return res, nil
 }
 
-// Compare runs the repeated-read experiment under every profile.
-func Compare(profiles []vm.Profile) ([]ProfileResult, error) {
+// Compare runs the repeated-read experiment under every profile (nil =
+// all of vm.Profiles), each on its own store: the replay calibration
+// under tune.
+func Compare(profiles []vm.Profile, tune fsim.Tuning) ([]ProfileResult, error) {
 	if len(profiles) == 0 {
 		profiles = vm.Profiles()
 	}
+	cfg, err := tune.Apply(fsim.DefaultConfig())
+	if err != nil {
+		return nil, fmt.Errorf("vmcompare: %w", err)
+	}
 	out := make([]ProfileResult, 0, len(profiles))
 	for _, p := range profiles {
-		res, err := runProfile(p)
+		res, err := runProfile(p, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("vmcompare: profile %s: %w", p.Name, err)
 		}

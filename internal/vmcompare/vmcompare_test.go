@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fsim"
 	"repro/internal/vm"
 )
 
 func TestCompareAllProfiles(t *testing.T) {
-	results, err := Compare(nil)
+	results, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestCompareAllProfiles(t *testing.T) {
 }
 
 func TestManagedRuntimesWarmUp(t *testing.T) {
-	results, err := Compare(nil)
+	results, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestManagedRuntimesWarmUp(t *testing.T) {
 func TestSteadyStatesConverge(t *testing.T) {
 	// Warm trials are dominated by the (shared) storage path, so all
 	// runtimes converge within an order of magnitude.
-	results, err := Compare(nil)
+	results, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSteadyStatesConverge(t *testing.T) {
 }
 
 func TestCompareSubset(t *testing.T) {
-	results, err := Compare([]vm.Profile{vm.ProfileJVM()})
+	results, err := Compare([]vm.Profile{vm.ProfileJVM()}, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCompareSubset(t *testing.T) {
 }
 
 func TestTableAndFigure(t *testing.T) {
-	results, err := Compare(nil)
+	results, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestTableAndFigure(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	a, err := Compare(nil)
+	a, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compare(nil)
+	b, err := Compare(nil, fsim.Tuning{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,15 @@ type Harness struct {
 // clients.
 func (h *Harness) ServerAddr() string { return h.addr }
 
-// NewHarness starts a cold server (fresh runtime, fresh store, corpus
-// installed) and connects a client.
-func NewHarness() (*Harness, error) {
-	store, err := fsim.NewFileStore(storeCalibration())
+// NewHarness starts a cold server (fresh runtime, a fresh store on the
+// web calibration under tune, corpus installed, shedding per shed) and
+// connects a client.
+func NewHarness(tune fsim.Tuning, shed ShedPolicy) (*Harness, error) {
+	cfg, err := tune.Apply(storeCalibration())
+	if err != nil {
+		return nil, err
+	}
+	store, err := fsim.NewFileStore(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +83,7 @@ func NewHarness() (*Harness, error) {
 		return nil, err
 	}
 	rt.RegisterBCL()
-	srv, err := New(Config{Store: store, Runtime: rt})
+	srv, err := New(Config{Store: store, Runtime: rt, Shed: shed})
 	if err != nil {
 		return nil, err
 	}
@@ -107,8 +112,8 @@ func (h *Harness) Close() {
 // Table5 regenerates the paper's Table 5: for each image file, the
 // server-side response time of its first read (GET) and first write
 // (POST of the same payload), on a cold VM.
-func Table5() (*metrics.Table, []RequestRecord, error) {
-	h, err := NewHarness()
+func Table5(tune fsim.Tuning, shed ShedPolicy) (*metrics.Table, []RequestRecord, error) {
+	h, err := NewHarness(tune, shed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,8 +147,8 @@ const Table6Trials = 6
 // Table6 regenerates the paper's Table 6: the response time of reading
 // the same ~14 KB file six times on a cold VM — the JIT-plus-buffer-cache
 // warm-up curve.
-func Table6() (*metrics.Table, []float64, error) {
-	h, err := NewHarness()
+func Table6(tune fsim.Tuning, shed ShedPolicy) (*metrics.Table, []float64, error) {
+	h, err := NewHarness(tune, shed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -169,8 +174,8 @@ func Table6() (*metrics.Table, []float64, error) {
 
 // Figure6 renders Table 6's series as the paper's Figure 6 line chart:
 // response time of read operations vs trial number.
-func Figure6() (*metrics.Figure, []float64, error) {
-	_, times, err := Table6()
+func Figure6(tune fsim.Tuning, shed ShedPolicy) (*metrics.Figure, []float64, error) {
+	_, times, err := Table6(tune, shed)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -87,6 +87,7 @@ func TestHTTPFSServesCatalog(t *testing.T) {
 		t.Fatalf("index = %d, listing contains %q = %v", resp.StatusCode, spec.Name, strings.Contains(string(index), spec.Name))
 	}
 
+	ts.Close() // the last handler records after its client has the body
 	recs := h.Records()
 	if len(recs) != 4 {
 		t.Fatalf("%d records, want 4", len(recs))
@@ -162,6 +163,9 @@ func TestHTTPFSConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	// A handler appends its record after the client has its body; Close
+	// returns once every handler has.
+	ts.Close()
 	if got := len(h.Records()); got != clients*perClient {
 		t.Fatalf("%d records, want %d", got, clients*perClient)
 	}

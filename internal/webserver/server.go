@@ -89,8 +89,7 @@ type Config struct {
 	// on the shared clock.
 	Lanes bool
 	// Shed is the graceful-degradation policy (admission control +
-	// per-request I/O deadline). The zero policy never sheds; New folds
-	// in the process default (SetDefaultShed) when left zero.
+	// per-request I/O deadline). The zero policy never sheds.
 	Shed ShedPolicy
 }
 
@@ -124,9 +123,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.Shed == (ShedPolicy{}) {
-		cfg.Shed = DefaultShed()
 	}
 	if err := cfg.Shed.Validate(); err != nil {
 		return nil, err

@@ -16,7 +16,7 @@ import (
 // connected client.
 func fixture(t *testing.T) *Harness {
 	t.Helper()
-	h, err := NewHarness()
+	h, err := NewHarness(fsim.Tuning{}, ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tb, recs, err := Table5()
+	tb, recs, err := Table5(fsim.Tuning{}, ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestTable5Shape(t *testing.T) {
 func TestTable5WriteSlowerThanRead(t *testing.T) {
 	// Table 5: every row's write time exceeds its read time (writes pay
 	// file creation plus the StreamWriter path).
-	_, recs, err := Table5()
+	_, recs, err := Table5(fsim.Tuning{}, ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestTable5WriteSlowerThanRead(t *testing.T) {
 }
 
 func TestTable6WarmupDecline(t *testing.T) {
-	tb, times, err := Table6()
+	tb, times, err := Table6(fsim.Tuning{}, ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestTable6WarmupDecline(t *testing.T) {
 }
 
 func TestFigure6Renders(t *testing.T) {
-	fig, times, err := Figure6()
+	fig, times, err := Figure6(fsim.Tuning{}, ShedPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -83,26 +82,4 @@ func (p ShedPolicy) String() string {
 		parts = append(parts, fmt.Sprintf("deadline=%s", p.Deadline))
 	}
 	return strings.Join(parts, ",")
-}
-
-// Process-wide default, the hook core options push through (mirroring
-// fsim's SetDefault* family): New folds it into a Config whose Shed is
-// the zero policy.
-var (
-	shedMu  sync.Mutex
-	defShed ShedPolicy
-)
-
-// SetDefaultShed installs the process-default shed policy.
-func SetDefaultShed(p ShedPolicy) {
-	shedMu.Lock()
-	defer shedMu.Unlock()
-	defShed = p
-}
-
-// DefaultShed returns the process-default shed policy.
-func DefaultShed() ShedPolicy {
-	shedMu.Lock()
-	defer shedMu.Unlock()
-	return defShed
 }

@@ -129,21 +129,30 @@ func TestSuccessRecordsStatus(t *testing.T) {
 	}
 }
 
-// TestDefaultShedApplies pins the process-default hook New folds into a
-// zero-Shed Config.
-func TestDefaultShedApplies(t *testing.T) {
-	SetDefaultShed(ShedPolicy{Deadline: time.Nanosecond})
-	defer SetDefaultShed(ShedPolicy{})
-	srv, c := shedFixture(t, ShedPolicy{})
-	resp, err := c.Get(workload.WebCorpus()[0].Name)
+// TestHarnessTakesTuningAndShed: the experiment fixture builds its store
+// and server from the values it is handed, so a shed policy and a store
+// tuning chosen by the caller reach them (and no other harness).
+func TestHarnessTakesTuningAndShed(t *testing.T) {
+	h, err := NewHarness(fsim.Tuning{Shards: 8}, ShedPolicy{Deadline: time.Nanosecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got := h.Store.Cache().NumShards(); got != 8 {
+		t.Fatalf("harness store has %d stripes, want 8", got)
+	}
+	resp, err := h.Client.Get(workload.WebCorpus()[0].Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.Status != 503 {
-		t.Fatalf("status = %d, want 503 from the default policy", resp.Status)
+		t.Fatalf("status = %d, want 503 from the harness's shed policy", resp.Status)
 	}
-	if recs := srv.Records(); len(recs) != 1 || !recs[0].Deadlined {
+	if recs := h.Server.Records(); len(recs) != 1 || !recs[0].Deadlined {
 		t.Fatalf("records = %+v", recs)
+	}
+	if _, err := NewHarness(fsim.Tuning{Shards: 3}, ShedPolicy{}); err == nil {
+		t.Fatal("harness accepted a store tuning the store would reject")
 	}
 }
 
