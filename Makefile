@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check-globals race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke fmt vet fmt-check ci
+.PHONY: all build test check-globals race fuzz-smoke bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke fmt vet fmt-check ci
 
 all: build
 
@@ -31,6 +31,17 @@ check-globals:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -run 'Fuzz' ./internal/trace/ ./internal/buffercache/ ./internal/simdisk/
+
+# Fuzz smoke: `test` and `race` only replay the checked-in corpora;
+# this gives every fuzz target ten seconds of real mutation. A crasher
+# lands under the package's testdata/fuzz: commit it with the fix.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceV2$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDump$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime 10s ./internal/simdisk
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/webserver
+	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 10s ./internal/buffercache
 
 # Benchmark smoke: every benchmark runs exactly once so regressions in
 # the harness itself (not perf) surface in CI quickly.
@@ -130,4 +141,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: build vet fmt-check check-globals test race bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke
+ci: build vet fmt-check check-globals test race fuzz-smoke bench bench-cold bench-contention bench-trace bench-faults bench-avail bench-module stdfs-smoke distfault-smoke

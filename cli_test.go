@@ -190,6 +190,11 @@ func TestCLIRejectedCombinations(t *testing.T) {
 		{"tracebench", []string{"-app", "Mixed", "-sweep", "-writeback-highwater", "4"}, "high-water"},
 		{"tracebench", []string{"-app", "Dmine", "-shards", "3"}, "power of two"},
 		{"tracebench", []string{"-app", "Dmine", "-sched", "elevator"}, "-sched"},
+		// Injection rolls on session lanes; serial replay and -tables open none.
+		{"tracebench", []string{"-app", "Dmine", "-inject", "seed=7,rate=2"}, "-inject"},
+		{"tracebench", []string{"-app", "Dmine", "-inject", "seed=7,rate=2", "-retry", "max=2"}, "-inject"},
+		{"tracebench", []string{"-tables", "-concurrent", "-inject", "seed=7,rate=2"}, "-inject"},
+		{"tracebench", []string{"-app", "Pgrep", "-concurrent", "-retry", "max=2"}, "-inject"},
 		{"webbench", []string{"-mode", "tables", "-shards", "8"}, "-shards"},
 		{"webbench", []string{"-mode", "servefs", "-writeback", "8"}, "-writeback"},
 		{"webbench", []string{"-mode", "load", "-sched", "sstf"}, "-sched"},
@@ -198,6 +203,9 @@ func TestCLIRejectedCombinations(t *testing.T) {
 		{"webbench", []string{"-mode", "degraded", "-addr", "127.0.0.1:0", "-lanes"}, "-lanes"},
 		{"webbench", []string{"-mode", "degraded", "-addr", "127.0.0.1:0", "-rebuild", "x"}, "-rebuild"},
 		{"webbench", []string{"-mode", "bogus"}, "bogus"},
+		// Only the injection gate reads the retry policy, and webbench has
+		// no -inject (the invalid -shards keeps a parent build from serving).
+		{"webbench", []string{"-mode", "serve", "-addr", "127.0.0.1:0", "-retry", "max=2", "-shards", "3"}, "-retry"},
 		{"distbench", []string{"-faults", "fail:5@0s", "-raid", "raid1", "-disks", "2"}, "disk 5 out of range"},
 		{"distbench", []string{"-spares", "-1"}, "spare"},
 		{"distbench", []string{"-rebuild", "1,x"}, "-rebuild"},

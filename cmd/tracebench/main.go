@@ -66,14 +66,22 @@ func main() {
 	if *paced && (*concurrent || *stream || *sweep) {
 		fatal(fmt.Errorf("-paced charges think time on serial replay only; drop -concurrent/-stream/-sweep"))
 	}
-	// A mode that builds no store, or sweeps the stripe count itself,
-	// must not swallow the flags it cannot honour.
+	// A mode that builds no store, sweeps the stripe count itself, or
+	// opens no session lane must not swallow the flags it cannot honour.
+	// Injection rolls on session lanes only: serial replay and -tables
+	// run on the store's default session, which never injects, and the
+	// retry policy only bounds recovery from injected faults.
+	lanes := (*concurrent || *stream || *sweep) && !*tables
 	flag.Visit(func(f *flag.Flag) {
 		switch {
 		case *real && slices.Contains(storeFlags, f.Name):
 			fatal(fmt.Errorf("-%s configures the simulated store; drop it or -real", f.Name))
 		case *sweep && f.Name == "shards":
 			fatal(fmt.Errorf("-sweep picks the stripe counts itself; drop -shards"))
+		case (f.Name == "inject" || f.Name == "retry") && !lanes:
+			fatal(fmt.Errorf("-%s acts on session lanes, which serial replay and -tables never open; add -concurrent, -stream or -sweep", f.Name))
+		case f.Name == "retry" && !tune.Inject.Enabled():
+			fatal(fmt.Errorf("-retry bounds recovery from injected faults; add -inject"))
 		}
 	})
 

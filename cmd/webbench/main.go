@@ -38,7 +38,7 @@ import (
 var modeFlags = map[string][]string{
 	"tables": {},
 	"serve": {"addr", "lanes", "shed", "shards", "writeback", "writeback-highwater", "sched",
-		"disk-queue", "disks", "raid", "faults", "retry"},
+		"disk-queue", "disks", "raid", "faults"},
 	"servefs":  {"addr", "shards"},
 	"load":     {"target", "clients", "requests", "posts"},
 	"degraded": {"addr", "clients", "requests", "shed", "rebuild", "disks", "raid", "faults", "spares"},
@@ -60,7 +60,7 @@ func main() {
 	// Store flags: serve honours all but -spares, servefs only -shards,
 	// degraded the array ones (see modeFlags).
 	tune.RegisterFlags(flag.CommandLine, "shards", "writeback", "writeback-highwater", "sched",
-		"disk-queue", "disks", "raid", "faults", "retry", "spares")
+		"disk-queue", "disks", "raid", "faults", "spares")
 	flag.Parse()
 
 	allowed, ok := modeFlags[*mode]

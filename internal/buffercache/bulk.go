@@ -1,7 +1,7 @@
 // Bulk, run-granular cache operations: the hot data path.
 //
-// The page-granular path (touchHit / isResident / installPage, retained
-// for the equivalence tests behind SetPageGranular) pays a full mutex
+// The page-granular reference (touchHit / isResident / installPage, kept
+// in reference_test.go for the equivalence tests) pays a full mutex
 // round-trip, map lookup, LRU splice, and floating-point copy-cost
 // division per 4 KB page — a warm 64 KB read is 16 lock acquisitions,
 // and a miss run looks every page up twice. The bulk path partitions
@@ -14,7 +14,7 @@
 // Behavioral contract: the bulk path performs the same residency, LRU,
 // eviction, and statistics transitions in the same order as the
 // page-granular path, so simulated timing is bit-identical —
-// TestBulkMatchesPageGranular (and tracesim's equivalence test) pin it.
+// TestBulkMatchesPageGranular (and tracesim's replay pins) pin it.
 package buffercache
 
 import (
@@ -285,9 +285,6 @@ func (c *Cache) installRange(io *IO, now time.Time, first, last int64, dirty, pr
 // the bulk hot path: warm spans cost one lock acquisition per shard run
 // and integer time arithmetic only.
 func (c *Cache) ReadIO(io *IO, now time.Time, offset, length int64) (time.Time, time.Duration) {
-	if c.pageGranular {
-		return c.readIOPages(io, now, offset, length)
-	}
 	if length < 0 {
 		length = 0
 	}
@@ -449,9 +446,6 @@ func (c *Cache) readIOOneShard(io *IO, now time.Time, first, last int64, sequent
 // through the running horizon exactly as the page-granular loop charges
 // them.
 func (c *Cache) WriteIO(io *IO, now time.Time, offset, length int64) (time.Time, time.Duration) {
-	if c.pageGranular {
-		return c.writeIOPages(io, now, offset, length)
-	}
 	if length < 0 {
 		length = 0
 	}

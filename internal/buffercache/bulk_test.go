@@ -45,21 +45,25 @@ func mixedOps(n int) []cacheOp {
 }
 
 // runOps replays ops on a fresh cache and returns the final clock and
-// stats. pageGranular selects the retained reference path.
+// stats. pageGranular runs the data operations through the per-page
+// reference (reference_test.go) instead of ReadIO/WriteIO.
 func runOps(t *testing.T, cfg Config, ops []cacheOp, pageGranular bool) (time.Time, Stats, int, int) {
 	t.Helper()
 	p := simdisk.DefaultParams()
 	p.Capacity = 1 << 30
 	c := MustNew(cfg, simdisk.MustNew(p))
 	defer c.Close()
-	c.SetPageGranular(pageGranular)
+	read, write := c.ReadIO, c.WriteIO
+	if pageGranular {
+		read, write = c.readIOPages, c.writeIOPages
+	}
 	now := time.Unix(0, 0)
 	for i, op := range ops {
 		var done time.Time
 		if op.write {
-			done, _ = c.Write(now, op.off, op.length)
+			done, _ = write(c.DefaultIO(), now, op.off, op.length)
 		} else {
-			done, _ = c.Read(now, op.off, op.length)
+			done, _ = read(c.DefaultIO(), now, op.off, op.length)
 		}
 		if done.Before(now) {
 			t.Fatalf("op %d moved time backwards", i)
@@ -76,7 +80,7 @@ func runOps(t *testing.T, cfg Config, ops []cacheOp, pageGranular bool) (time.Ti
 // TestBulkMatchesPageGranular is the bulk path's behavioral contract:
 // the run-granular ReadIO/WriteIO perform the same residency, LRU,
 // eviction, and statistics transitions in the same order as the
-// retained per-page path, so the simulated clock lands on the identical
+// per-page reference, so the simulated clock lands on the identical
 // nanosecond. Swept over shard counts (1 = the paper's deterministic
 // configuration) and a capacity small enough that eviction pressure,
 // prefetch, and dirty write-back all engage.

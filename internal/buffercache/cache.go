@@ -31,9 +31,10 @@
 // per-shard runs — one lock acquisition, one batched stats update, and
 // one LRU refresh pass per run, with the per-page copy cost precomputed
 // at New — instead of a mutex round-trip and float division per page.
-// The retained page-granular path behind SetPageGranular performs
-// identical transitions; equivalence tests replay workloads through
-// both and assert bit-identical timing.
+// The per-page reference those runs must reproduce lives in the tests
+// (reference_test.go); TestBulkMatchesPageGranular replays workloads
+// through both and asserts bit-identical timing, and tracesim's replay
+// pins hold the same contract end to end.
 package buffercache
 
 import (
@@ -47,23 +48,18 @@ import (
 	"repro/internal/simdisk"
 )
 
-// Backend is the storage the cache misses to. Both *simdisk.Disk and
-// *simdisk.Array satisfy it; implementations must be safe for concurrent
-// use, as different shards write back independently.
+// Backend is the storage the cache misses to: *simdisk.Disk,
+// *simdisk.Array and shared-queue lanes satisfy it. Access serves a
+// demand fetch; AccessRun serves a contiguous run of equal-length
+// requests in one call (eviction write-backs and flush spans), with
+// completion times bit-identical to the equivalent Access sequence;
+// ServeBatch schedules a whole queue in one policy-ordered batch
+// (write-back drains and flush sweeps). Implementations must be safe for
+// concurrent use, as different shards write back independently.
 type Backend interface {
 	Access(now time.Time, req simdisk.Request) (done time.Time, service time.Duration)
-}
-
-// RunBackend is the optional backend capability the cold path prefers:
-// servicing a contiguous run of equal-length requests in one call —
-// one lock acquisition and batched statistics instead of a mutex
-// round-trip and full cost arithmetic per page, with completion times
-// bit-identical to the equivalent Access sequence. Both *simdisk.Disk
-// and *simdisk.Array implement it; eviction write-backs, write-back
-// drains, and flush sweeps route through it.
-type RunBackend interface {
-	Backend
 	AccessRun(now time.Time, r simdisk.Run) (done time.Time, service time.Duration)
+	ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time)
 }
 
 // AsyncBackend is the optional fire-and-forget capability shared-queue
@@ -81,27 +77,6 @@ type AsyncBackend interface {
 	Backend
 	AccessAsync(now time.Time, req simdisk.Request) time.Time
 	AccessRunAsync(now time.Time, r simdisk.Run) time.Time
-}
-
-// backendRun submits a contiguous run on be: one AccessRun when the
-// backend supports it, the equivalent Access sequence otherwise.
-func backendRun(be Backend, now time.Time, r simdisk.Run) time.Time {
-	if rb, ok := be.(RunBackend); ok {
-		done, _ := rb.AccessRun(now, r)
-		return done
-	}
-	done := now
-	t := now
-	off := r.Offset
-	for i := int64(0); i < r.Count; i++ {
-		d, _ := be.Access(t, simdisk.Request{Offset: off, Length: r.Length, Write: r.Write})
-		done = d
-		if r.Chain {
-			t = d
-		}
-		off += r.Length
-	}
-	return done
 }
 
 // Config sizes and tunes a cache.
@@ -266,16 +241,9 @@ const streamTails = 4
 // sequential-stream detection never leak across lanes.
 type IO struct {
 	backend Backend
-	// run is the backend's contiguous-run capability, asserted once at
-	// NewIO so the per-run hot path never re-checks; nil when the
-	// backend only supports single requests.
-	run RunBackend
 	// async is the backend's fire-and-forget capability (shared-queue
 	// lanes); nil for private disk views, which bill evictions inline.
 	async AsyncBackend
-	// batch is the backend's batch-scheduling capability, used by the
-	// flush sweep; nil when the backend cannot order a batch itself.
-	batch BatchBackend
 
 	// tails holds the last page of several recent read streams, so that
 	// interleaved sequential scans (one per file or region, as the
@@ -299,20 +267,9 @@ func (c *Cache) NewIO(backend Backend) *IO {
 		backend = c.backend
 	}
 	io := &IO{backend: backend}
-	io.run, _ = backend.(RunBackend)
 	io.async, _ = backend.(AsyncBackend)
-	io.batch, _ = backend.(BatchBackend)
 	io.reset()
 	return io
-}
-
-// accessRun submits a contiguous page run on the context's backend view.
-func (io *IO) accessRun(now time.Time, r simdisk.Run) time.Time {
-	if io.run != nil {
-		done, _ := io.run.AccessRun(now, r)
-		return done
-	}
-	return backendRun(io.backend, now, r)
 }
 
 // evictAccess submits a background request — an eviction write-back or
@@ -332,7 +289,8 @@ func (io *IO) evictRun(now time.Time, r simdisk.Run) time.Time {
 	if io.async != nil {
 		return io.async.AccessRunAsync(now, r)
 	}
-	return io.accessRun(now, r)
+	done, _ := io.backend.AccessRun(now, r)
+	return done
 }
 
 // reset clears the stream-tail slots to the never-adjacent sentinel.
@@ -379,12 +337,6 @@ type Cache struct {
 	// hitPageCost is copyCost(PageSize) precomputed at New, so the warm
 	// read loop charges hits with integer arithmetic only.
 	hitPageCost time.Duration
-
-	// pageGranular routes ReadIO/WriteIO through the original per-page
-	// path instead of the bulk run path. Test-only (SetPageGranular):
-	// the equivalence suites replay workloads through both and assert
-	// identical timing and statistics.
-	pageGranular bool
 
 	// wb is the background write-back subsystem; nil when disabled.
 	// wbBackend is the disk view its drains are timed against — the
@@ -546,140 +498,10 @@ func (c *Cache) Read(now time.Time, offset, length int64) (time.Time, time.Durat
 	return c.ReadIO(c.defIO, now, offset, length)
 }
 
-// SetPageGranular routes the data path through the original per-page
-// lookup/install loop instead of the bulk run path. The two paths
-// perform identical transitions — this switch exists so equivalence
-// tests can prove it. Call before any traffic; not safe to race with
-// running operations.
-func (c *Cache) SetPageGranular(on bool) { c.pageGranular = on }
-
-// readIOPages is the retained page-granular read path: one lock
-// acquisition, map lookup, and LRU splice per page. ReadIO (bulk.go)
-// performs the same transitions run-at-a-time; the equivalence tests
-// replay workloads through both.
-func (c *Cache) readIOPages(io *IO, now time.Time, offset, length int64) (time.Time, time.Duration) {
-	if length < 0 {
-		length = 0
-	}
-	done := now
-	first, last := c.pageRange(offset, length)
-	if last < first { // zero-length read: lookup cost only
-		d := now.Add(c.cfg.HitOverhead)
-		return d, d.Sub(now)
-	}
-
-	sequential := io.noteRead(first, last)
-
-	// Walk the page range, coalescing misses into contiguous disk runs.
-	page := first
-	for page <= last {
-		if c.touchHit(page) {
-			done = done.Add(c.copyCost(c.cfg.PageSize))
-			page++
-			continue
-		}
-		// Miss: extend the run over consecutive missing pages, which may
-		// span stripes.
-		runStart := page
-		page++
-		for page <= last && !c.isResident(page) {
-			page++
-		}
-		runEnd := page - 1 // inclusive
-		nDemand := runEnd - runStart + 1
-		rs := c.shardOf(runStart)
-		rs.mu.Lock()
-		rs.stats.Misses += nDemand
-		rs.stats.BytesFromDisk += nDemand * c.cfg.PageSize
-		rs.mu.Unlock()
-		diskDone, _ := io.backend.Access(done, simdisk.Request{
-			Offset: runStart * c.cfg.PageSize,
-			Length: nDemand * c.cfg.PageSize,
-		})
-		done = diskDone
-		for p := runStart; p <= runEnd; p++ {
-			c.installPage(io, done, p, false, false, false)
-		}
-		// Asynchronous read-ahead: queue the next window behind the
-		// demand fetch. It occupies the disk but is not charged to this
-		// read — later sequential reads find the pages resident.
-		if sequential && c.cfg.PrefetchPages > 0 {
-			pfStart := runEnd + 1
-			pfEnd := runEnd + int64(c.cfg.PrefetchPages)
-			io.evictAccess(diskDone, simdisk.Request{
-				Offset: pfStart * c.cfg.PageSize,
-				Length: (pfEnd - pfStart + 1) * c.cfg.PageSize,
-			})
-			var brought int64
-			for p := pfStart; p <= pfEnd; p++ {
-				if fresh, _, _ := c.installPage(io, diskDone, p, false, true, false); fresh {
-					brought++
-				}
-			}
-			if brought > 0 {
-				rs.mu.Lock()
-				rs.stats.PrefetchedIn += brought
-				rs.stats.BytesFromDisk += brought * c.cfg.PageSize
-				rs.mu.Unlock()
-			}
-		}
-		// Copy the demanded part of the run to the caller.
-		done = done.Add(c.copyCost(nDemand * c.cfg.PageSize))
-	}
-	return done, done.Sub(now)
-}
-
 // Write simulates writing [offset, offset+length) on the cache's
 // default I/O context.
 func (c *Cache) Write(now time.Time, offset, length int64) (time.Time, time.Duration) {
 	return c.WriteIO(c.defIO, now, offset, length)
-}
-
-// writeIOPages is the retained page-granular write path; WriteIO
-// (bulk.go) performs the same transitions run-at-a-time. The dirty
-// high-water stall is checked at the same shard-run boundaries as the
-// bulk path, so the two paths stay bit-identical with throttling on.
-func (c *Cache) writeIOPages(io *IO, now time.Time, offset, length int64) (time.Time, time.Duration) {
-	if length < 0 {
-		length = 0
-	}
-	done := now
-	first, last := c.pageRange(offset, length)
-	if last < first {
-		d := now.Add(c.cfg.HitOverhead)
-		return d, d.Sub(now)
-	}
-	for page := first; page <= last; {
-		si := c.shardIndex(page)
-		runEnd := c.shardRunEnd(si, page, last)
-		runDirtied := false
-		for ; page <= runEnd; page++ {
-			_, dirtied, horizon := c.installPage(io, done, page, c.cfg.WriteBehind, false, true)
-			runDirtied = runDirtied || dirtied
-			if horizon.After(done) {
-				done = horizon // eviction write-back stalled us
-			}
-		}
-		if runDirtied && c.cfg.WritebackHighwater > 0 {
-			s := c.shards[si]
-			s.mu.Lock()
-			dc := s.dirty
-			s.mu.Unlock()
-			if dc >= c.cfg.WritebackHighwater {
-				done = c.stallHighwater(si, done)
-			}
-		}
-	}
-	done = done.Add(c.copyCost(length))
-	if !c.cfg.WriteBehind {
-		diskDone, _ := io.backend.Access(done, simdisk.Request{Offset: offset, Length: length, Write: true})
-		s := c.shardOf(first)
-		s.mu.Lock()
-		s.stats.BytesToDisk += length
-		s.mu.Unlock()
-		done = diskDone
-	}
-	return done, done.Sub(now)
 }
 
 // Flush writes back every dirty page and returns the completion time.
@@ -731,8 +553,8 @@ func (c *Cache) cleanForFlush(page int64) bool {
 // flushRun accumulates an ascending stream of candidate pages into
 // maximal contiguous still-dirty spans and submits each as one chained
 // AccessRun — the same writes at the same completion-chained times as a
-// page-at-a-time loop, in fewer disk submissions. Flush, FlushRangeIO,
-// and flushPagesIO all feed it, so the grouping logic exists once.
+// page-at-a-time loop, in fewer disk submissions. FlushRangeIO's narrow
+// walk feeds it.
 type flushRun struct {
 	c           *Cache
 	io          *IO
@@ -748,13 +570,6 @@ func (fr *flushRun) add(page int64) {
 	if !fr.c.cleanForFlush(page) {
 		return
 	}
-	fr.addClean(page)
-}
-
-// addClean extends spans over a page the caller already cleaned
-// (flushPagesIO cleans before billing, so the batched and chained
-// billing paths share one collection pass).
-func (fr *flushRun) addClean(page int64) {
 	if fr.count > 0 && page == fr.last+1 {
 		fr.last = page
 		fr.count++
@@ -769,7 +584,7 @@ func (fr *flushRun) flush() {
 	if fr.count == 0 {
 		return
 	}
-	fr.done = fr.io.accessRun(fr.done, simdisk.Run{
+	fr.done, _ = fr.io.backend.AccessRun(fr.done, simdisk.Run{
 		Offset: fr.start * fr.c.cfg.PageSize,
 		Length: fr.c.cfg.PageSize,
 		Count:  fr.count,
@@ -781,39 +596,25 @@ func (fr *flushRun) flush() {
 
 // flushPagesIO writes back the still-dirty pages of the ascending
 // candidate list on io's backend view and returns the final completion
-// horizon. The sweep is scheduled rather than hand-chained: when the
-// backend can batch-schedule (both simdisk devices and shared-queue
-// lanes can), the cleaned pages go to ServeBatch as one sweep ordered
-// by the configured write-back policy — under a shared queue the whole
-// sweep takes its place in the contended disk queue. For an FCFS policy
-// over the ascending page list the per-request completions chain on the
-// device's busy horizon exactly as the old caller-chained elevator did,
-// so the default configuration's timing is unchanged; plain backends
-// without batch scheduling keep the chained spans as the fallback.
+// horizon. The sweep is scheduled rather than hand-chained: the cleaned
+// pages go to ServeBatch as one sweep ordered by the configured
+// write-back policy — under a shared queue the whole sweep takes its
+// place in the contended disk queue. For an FCFS policy over the
+// ascending page list the per-request completions chain on the device's
+// busy horizon exactly as the old caller-chained elevator did, so the
+// default configuration's timing is unchanged.
 func (c *Cache) flushPagesIO(io *IO, done time.Time, pages []int64) time.Time {
-	live := make([]int64, 0, len(pages))
+	reqs := make([]simdisk.Request, 0, len(pages))
 	for _, page := range pages {
 		if c.cleanForFlush(page) {
-			live = append(live, page)
+			reqs = append(reqs, simdisk.Request{Offset: page * c.cfg.PageSize, Length: c.cfg.PageSize, Write: true})
 		}
 	}
-	if len(live) == 0 {
+	if len(reqs) == 0 {
 		return done
 	}
-	if io.batch != nil {
-		reqs := make([]simdisk.Request, len(live))
-		for i, page := range live {
-			reqs[i] = simdisk.Request{Offset: page * c.cfg.PageSize, Length: c.cfg.PageSize, Write: true}
-		}
-		_, end := io.batch.ServeBatch(done, reqs, c.cfg.WritebackPolicy)
-		return end
-	}
-	fr := flushRun{c: c, io: io, done: done}
-	for _, page := range live {
-		fr.addClean(page)
-	}
-	fr.flush()
-	return fr.done
+	_, end := io.backend.ServeBatch(done, reqs, c.cfg.WritebackPolicy)
+	return end
 }
 
 // FlushRange writes back dirty pages intersecting [offset,

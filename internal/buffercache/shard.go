@@ -1,7 +1,6 @@
 package buffercache
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,122 +312,11 @@ func (c *Cache) reclaimRemote(io *IO, now time.Time) (time.Time, bool) {
 	return done, true
 }
 
-// touchHit reports whether page is resident; if so it records the hit and
-// freshens the page's LRU position. Part of the retained page-granular
-// reference path (see SetPageGranular); the bulk path uses lookupRun.
-func (c *Cache) touchHit(page int64) bool {
-	s := c.shardOf(page)
-	s.mu.Lock()
-	f := s.table.get(page)
-	if f == nil {
-		s.mu.Unlock()
-		return false
-	}
-	s.stats.Hits++
-	if f.prefetched {
-		s.stats.PrefetchHits++
-		f.prefetched = false
-	}
-	s.lru.moveToFront(f)
-	s.mu.Unlock()
-	return true
-}
-
-// isResident reports residency without touching LRU state or statistics;
-// the page-granular read path uses it to extend miss runs across stripes.
+// isResident reports residency without touching LRU state or statistics.
 func (c *Cache) isResident(page int64) bool {
 	s := c.shardOf(page)
 	s.mu.Lock()
 	ok := s.table.get(page) != nil
 	s.mu.Unlock()
 	return ok
-}
-
-// installPage makes page resident in its shard, evicting under memory
-// pressure: first the stripe's free frames, then this shard's own LRU,
-// and as a last resort a harvest or reclaim from a sibling. Evictions
-// performed on behalf of this install charge io's backend view. It
-// reports whether the page was newly installed (false when it was
-// already resident), whether it transitioned clean->dirty, and the
-// completion horizon of any dirty write-back performed (== now when
-// nothing had to be written back). When count is set the lookup is
-// charged to the shard's hit/miss counters, as the write path requires.
-// Dirtying a page past the write-back threshold signals the shard's
-// background flusher. Part of the retained page-granular reference
-// path; the bulk path uses installRun.
-func (c *Cache) installPage(io *IO, now time.Time, page int64, dirty, prefetched, count bool) (fresh, dirtied bool, horizon time.Time) {
-	si := c.shardIndex(page)
-	s := c.shards[si]
-	horizon = now
-	for {
-		s.mu.Lock()
-		if f := s.table.get(page); f != nil {
-			if count {
-				s.stats.Hits++
-			}
-			if dirty && !f.dirty {
-				f.dirty = true
-				s.dirty++
-				s.noteDirtyLocked(c, page, f)
-				dirtied = true
-			}
-			dirtyCount := s.dirty
-			s.lru.moveToFront(f)
-			s.mu.Unlock()
-			if dirtied {
-				c.maybeSignalWriteback(si, dirtyCount, now)
-			}
-			return false, dirtied, horizon
-		}
-		// used == NumPages: every frame is resident, so skip the pool lock
-		// and sibling sweep (they are provably empty) and evict directly.
-		var f *frame
-		if c.used.Load() < int64(c.cfg.NumPages) {
-			if f = c.popFreeLocked(s); f == nil {
-				f = c.harvestFreeLocked(s)
-			}
-		}
-		if f == nil {
-			if victim := s.lru.back(); victim != nil {
-				done := s.evictLocked(c, io, now, victim)
-				if done.After(horizon) {
-					horizon = done
-				}
-				f = victim
-			}
-		}
-		if f != nil {
-			if count {
-				s.stats.Misses++
-			}
-			f.page = page
-			f.dirty = dirty
-			f.prefetched = prefetched
-			s.table.put(f)
-			s.lru.pushFront(f)
-			s.size.Add(1)
-			c.used.Add(1)
-			if dirty {
-				s.dirty++
-				s.noteDirtyLocked(c, page, f)
-				dirtied = true
-			}
-			dirtyCount := s.dirty
-			s.mu.Unlock()
-			if dirty {
-				c.maybeSignalWriteback(si, dirtyCount, now)
-			}
-			return true, dirtied, horizon
-		}
-		// Budget exhausted and this stripe holds nothing to evict: pull a
-		// frame back from a sibling, then retry the install.
-		s.mu.Unlock()
-		done, ok := c.reclaimFrame(io, now)
-		if done.After(horizon) {
-			horizon = done
-		}
-		if !ok {
-			runtime.Gosched() // frames are in flight; let holders finish
-		}
-	}
 }

@@ -5,9 +5,8 @@
 // accumulate until a stripe crosses Config.WritebackThreshold, at which
 // point the stripe's flusher goroutine collects the dirty set, marks the
 // pages clean (the writes are now owned by the disk queue), and submits
-// them as one scheduled batch — simdisk.ServeBatch with the configured
-// SSTF/SCAN/FCFS policy when the backend supports it, sequential
-// accesses otherwise. Batches are fed to the scheduler in raw arrival
+// them as one scheduled batch — the backend's ServeBatch with the
+// configured SSTF/SCAN/FCFS policy. Batches are fed to the scheduler in raw arrival
 // (dirtying) order, the stripe's dirtyOrder queue: the policy does the
 // ordering, so FCFS genuinely services first-dirtied-first while
 // SSTF/SCAN reorder by seek distance — the ablation separates instead of
@@ -28,14 +27,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/simdisk"
 )
-
-// BatchBackend is the optional backend capability write-back drains
-// prefer: scheduling a whole pending queue in one policy-ordered batch.
-// Both *simdisk.Disk and *simdisk.Array implement it.
-type BatchBackend interface {
-	Backend
-	ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time)
-}
 
 // writeback is the per-cache background flush subsystem.
 type writeback struct {
@@ -195,32 +186,7 @@ func (wb *writeback) drainShard(si int, at time.Time) (int, time.Time) {
 				Write:  true,
 			}
 		}
-		start := clock.MaxTime(lane.Now(), at)
-		var end time.Time
-		if bb, ok := c.wbBackend.(BatchBackend); ok {
-			_, end = bb.ServeBatch(start, reqs, c.cfg.WritebackPolicy)
-		} else {
-			// No batch scheduler: submit the queue in arrival order,
-			// contiguous spans as single chained runs — the same writes
-			// at the same completion-chained times as the per-request
-			// loop this replaces.
-			end = start
-			for i := 0; i < len(reqs); {
-				j := i + 1
-				for j < len(reqs) && reqs[j].Length == reqs[i].Length &&
-					reqs[j].Offset == reqs[j-1].Offset+reqs[j-1].Length {
-					j++
-				}
-				end = backendRun(c.wbBackend, end, simdisk.Run{
-					Offset: reqs[i].Offset,
-					Length: reqs[i].Length,
-					Count:  int64(j - i),
-					Write:  true,
-					Chain:  true,
-				})
-				i = j
-			}
-		}
+		_, end := c.wbBackend.ServeBatch(clock.MaxTime(lane.Now(), at), reqs, c.cfg.WritebackPolicy)
 		lane.Set(end)
 	}
 }

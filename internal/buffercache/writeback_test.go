@@ -107,10 +107,10 @@ func TestWritebackChargesBackgroundLanesNotCaller(t *testing.T) {
 	}
 }
 
-// recordingBackend wraps a BatchBackend and records the request order
+// recordingBackend wraps a Backend and records the request order
 // each scheduled batch was submitted in, before any policy reordering.
 type recordingBackend struct {
-	BatchBackend
+	Backend
 	batches [][]int64 // offsets per submitted batch, in submission order
 }
 
@@ -120,7 +120,7 @@ func (r *recordingBackend) ServeBatch(now time.Time, reqs []simdisk.Request, pol
 		offs[i] = req.Offset
 	}
 	r.batches = append(r.batches, offs)
-	return r.BatchBackend.ServeBatch(now, reqs, policy)
+	return r.Backend.ServeBatch(now, reqs, policy)
 }
 
 // TestWritebackFeedsArrivalOrder pins the FCFS fix: drains submit dirty
@@ -133,7 +133,7 @@ func TestWritebackFeedsArrivalOrder(t *testing.T) {
 	cfg.Shards = 1                       // one stripe so one queue holds the whole order
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
 	defer c.Close()
-	rec := &recordingBackend{BatchBackend: simdisk.MustNew(simdisk.MemoryBackedParams())}
+	rec := &recordingBackend{Backend: simdisk.MustNew(simdisk.MemoryBackedParams())}
 	c.SetWritebackBackend(rec)
 
 	order := []int64{5, 2, 9, 1, 7}
@@ -304,7 +304,7 @@ func TestWritebackCleanThenRedirtyEnqueuesAtTail(t *testing.T) {
 	cfg.WriteBehind = true
 	c := MustNew(cfg, simdisk.MustNew(simdisk.MemoryBackedParams()))
 	defer c.Close()
-	rec := &recordingBackend{BatchBackend: simdisk.MustNew(simdisk.MemoryBackedParams())}
+	rec := &recordingBackend{Backend: simdisk.MustNew(simdisk.MemoryBackedParams())}
 	c.SetWritebackBackend(rec)
 
 	now := time.Unix(0, 0)

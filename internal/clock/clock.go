@@ -10,14 +10,9 @@
 //     the discrete-event engines (disk model, cache, VM). Every simulated
 //     experiment in the repo is reproducible bit-for-bit because all timing
 //     flows through a VirtualClock.
-//
-// The PerfCounter type mirrors the QueryPerformanceCounter usage in the
-// paper's web-server benchmark: a high-resolution stamp pair converted to
-// milliseconds.
 package clock
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -101,83 +96,3 @@ var (
 	_ Clock    = (*VirtualClock)(nil)
 	_ Advancer = (*VirtualClock)(nil)
 )
-
-// Stopwatch measures elapsed time on an arbitrary Clock. It mirrors the
-// start/stop QueryPerformanceCounter pattern used in the paper.
-type Stopwatch struct {
-	clock   Clock
-	start   time.Time
-	elapsed time.Duration
-	running bool
-}
-
-// NewStopwatch returns a stopped stopwatch bound to c.
-func NewStopwatch(c Clock) *Stopwatch {
-	return &Stopwatch{clock: c}
-}
-
-// Start begins (or resumes) timing. Starting a running stopwatch is a
-// no-op.
-func (s *Stopwatch) Start() {
-	if s.running {
-		return
-	}
-	s.start = s.clock.Now()
-	s.running = true
-}
-
-// Stop halts timing and accumulates the elapsed interval.
-func (s *Stopwatch) Stop() {
-	if !s.running {
-		return
-	}
-	s.elapsed += s.clock.Now().Sub(s.start)
-	s.running = false
-}
-
-// Reset zeroes the accumulated time and stops the stopwatch.
-func (s *Stopwatch) Reset() {
-	s.elapsed = 0
-	s.running = false
-}
-
-// Elapsed reports the accumulated time, including the in-flight interval
-// if the stopwatch is running.
-func (s *Stopwatch) Elapsed() time.Duration {
-	if s.running {
-		return s.elapsed + s.clock.Now().Sub(s.start)
-	}
-	return s.elapsed
-}
-
-// Running reports whether the stopwatch is currently timing.
-func (s *Stopwatch) Running() bool { return s.running }
-
-// PerfCounter emulates the QueryPerformanceCounter API the paper uses to
-// time web-server I/O: Query captures a stamp; Milliseconds converts a
-// stamp pair to the floating-point millisecond latency the paper's tables
-// report.
-type PerfCounter struct {
-	clock Clock
-}
-
-// NewPerfCounter returns a counter reading from c.
-func NewPerfCounter(c Clock) *PerfCounter { return &PerfCounter{clock: c} }
-
-// Query returns a high-resolution counter stamp in nanoseconds.
-func (p *PerfCounter) Query() int64 { return p.clock.Now().UnixNano() }
-
-// Milliseconds converts a stamp pair to elapsed milliseconds.
-func (p *PerfCounter) Milliseconds(start, end int64) float64 {
-	return float64(end-start) / 1e6
-}
-
-// FormatMS renders a millisecond latency the way the paper's tables print
-// them: scientific notation for sub-microsecond values, fixed point
-// otherwise.
-func FormatMS(ms float64) string {
-	if ms != 0 && ms < 1e-3 {
-		return fmt.Sprintf("%.2E", ms)
-	}
-	return fmt.Sprintf("%.4g", ms)
-}

@@ -65,77 +65,6 @@ func TestVirtualClockMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestStopwatchAccumulates(t *testing.T) {
-	c := NewVirtualClock(time.Unix(0, 0))
-	sw := NewStopwatch(c)
-	sw.Start()
-	c.Advance(10 * time.Millisecond)
-	sw.Stop()
-	c.Advance(100 * time.Millisecond) // not timed
-	sw.Start()
-	c.Advance(5 * time.Millisecond)
-	sw.Stop()
-	if got := sw.Elapsed(); got != 15*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 15ms", got)
-	}
-}
-
-func TestStopwatchRunningElapsed(t *testing.T) {
-	c := NewVirtualClock(time.Unix(0, 0))
-	sw := NewStopwatch(c)
-	sw.Start()
-	c.Advance(7 * time.Millisecond)
-	if got := sw.Elapsed(); got != 7*time.Millisecond {
-		t.Fatalf("running Elapsed = %v, want 7ms", got)
-	}
-	if !sw.Running() {
-		t.Fatal("stopwatch should be running")
-	}
-}
-
-func TestStopwatchDoubleStartIsNoop(t *testing.T) {
-	c := NewVirtualClock(time.Unix(0, 0))
-	sw := NewStopwatch(c)
-	sw.Start()
-	c.Advance(time.Millisecond)
-	sw.Start() // must not reset the start stamp
-	c.Advance(time.Millisecond)
-	sw.Stop()
-	if got := sw.Elapsed(); got != 2*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 2ms", got)
-	}
-}
-
-func TestStopwatchReset(t *testing.T) {
-	c := NewVirtualClock(time.Unix(0, 0))
-	sw := NewStopwatch(c)
-	sw.Start()
-	c.Advance(time.Second)
-	sw.Reset()
-	if sw.Elapsed() != 0 || sw.Running() {
-		t.Fatalf("Reset left elapsed=%v running=%v", sw.Elapsed(), sw.Running())
-	}
-}
-
-func TestStopwatchStopWithoutStart(t *testing.T) {
-	sw := NewStopwatch(NewVirtualClock(time.Unix(0, 0)))
-	sw.Stop() // must not panic or accumulate
-	if sw.Elapsed() != 0 {
-		t.Fatalf("Elapsed = %v, want 0", sw.Elapsed())
-	}
-}
-
-func TestPerfCounterMilliseconds(t *testing.T) {
-	c := NewVirtualClock(time.Unix(0, 0))
-	pc := NewPerfCounter(c)
-	start := pc.Query()
-	c.Advance(2500 * time.Microsecond)
-	end := pc.Query()
-	if got := pc.Milliseconds(start, end); got != 2.5 {
-		t.Fatalf("Milliseconds = %v, want 2.5", got)
-	}
-}
-
 func TestRealClockProgresses(t *testing.T) {
 	rc := RealClock{}
 	a := rc.Now()
@@ -143,22 +72,5 @@ func TestRealClockProgresses(t *testing.T) {
 	b := rc.Now()
 	if !b.After(a) {
 		t.Fatalf("real clock did not progress: %v then %v", a, b)
-	}
-}
-
-func TestFormatMS(t *testing.T) {
-	cases := []struct {
-		ms   float64
-		want string
-	}{
-		{7.88e-05, "7.88E-05"},
-		{0.0025, "0.0025"},
-		{2.1175, "2.118"},
-		{0, "0"},
-	}
-	for _, tc := range cases {
-		if got := FormatMS(tc.ms); got != tc.want {
-			t.Errorf("FormatMS(%v) = %q, want %q", tc.ms, got, tc.want)
-		}
 	}
 }

@@ -6,75 +6,49 @@ import (
 	"testing"
 )
 
-func TestFaultStoreDisabled(t *testing.T) {
-	s := NewFaultStore(MustNewFileStore(DefaultConfig()), 0)
-	if _, err := s.Create("f", []byte("x")); err != nil {
+// TestFaultFileOperationsFail pins the injection gate on handle
+// operations: with every roll firing and no retries, read, seek and
+// write on a session's handle each fail with a *FaultError naming the
+// op, leave the handle position and the file contents alone, and close
+// still succeeds.
+func TestFaultFileOperationsFail(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Inject = InjectSpec{Seed: 1, Rate: 1, Ops: MaskOf(OpRead, OpWrite, OpSeek)}
+	store := MustNewFileStore(cfg)
+	defer store.Close()
+	if _, err := store.Create("f", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		f, _, err := s.Open("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-	if s.Injected() != 0 {
-		t.Fatalf("disabled injector fired %d times", s.Injected())
-	}
-}
-
-func TestFaultStoreFailsOnSchedule(t *testing.T) {
-	inner := MustNewFileStore(DefaultConfig())
-	inner.Create("f", make([]byte, 1024))
-	s := NewFaultStore(inner, 3)
-	var failures int
-	for i := 0; i < 9; i++ {
-		_, _, err := s.Open("f") // each Open is one op
-		if errors.Is(err, ErrInjected) {
-			failures++
-		}
-	}
-	if failures != 3 {
-		t.Fatalf("9 ops with failEvery=3 produced %d failures, want 3", failures)
-	}
-	if s.Injected() != 3 {
-		t.Fatalf("Injected = %d", s.Injected())
-	}
-}
-
-func TestFaultFileOperationsFail(t *testing.T) {
-	inner := MustNewFileStore(DefaultConfig())
-	inner.Create("f", make([]byte, 4096))
-	s := NewFaultStore(inner, 2) // ops 2, 4, 6... fail
-	f, _, err := s.Open("f")     // op 1: ok
+	sess := store.NewSession()
+	defer sess.Release()
+	f, _, err := sess.Open("f") // open is not targeted
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.Read(make([]byte, 10)); !errors.Is(err, ErrInjected) { // op 2
-		t.Fatalf("read err = %v, want injected", err)
+	for _, tc := range []struct {
+		op OpKind
+		do func() error
+	}{
+		{OpRead, func() error { _, _, err := f.Read(make([]byte, 5)); return err }},
+		{OpSeek, func() error { _, _, err := f.SeekTo(2, io.SeekStart); return err }},
+		{OpWrite, func() error { _, _, err := f.Write([]byte("x")); return err }},
+	} {
+		err := tc.do()
+		var fe *FaultError
+		if !errors.As(err, &fe) || fe.Op != tc.op || !errors.Is(err, ErrInjected) {
+			t.Fatalf("%s err = %v, want an injected *FaultError on %s", tc.op, err, tc.op)
+		}
 	}
-	if _, _, err := f.SeekTo(0, io.SeekStart); err != nil { // op 3: ok
+	if _, err := f.Close(); err != nil { // close never injects
 		t.Fatal(err)
 	}
-	if _, _, err := f.Write([]byte("x")); !errors.Is(err, ErrInjected) { // op 4
-		t.Fatalf("write err = %v, want injected", err)
-	}
-	// Close never injects.
-	if _, err := f.Close(); err != nil {
+	g, _, err := store.Open("f") // the default session never injects
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFaultStorePassthroughMetadata(t *testing.T) {
-	inner := MustNewFileStore(DefaultConfig())
-	inner.Create("f", nil)
-	s := NewFaultStore(inner, 1) // every op fails
-	// Exists/Names are not operations and never fail.
-	if !s.Exists("f") {
-		t.Fatal("Exists interposed")
-	}
-	if len(s.Names()) != 1 {
-		t.Fatal("Names interposed")
+	buf := make([]byte, 8)
+	if n, _, _ := g.Read(buf); string(buf[:n]) != "hello" {
+		t.Fatalf("contents after failed ops = %q, want %q", buf[:n], "hello")
 	}
 }
 

@@ -19,12 +19,12 @@
 // longest lane, not the sum.
 //
 // Disk billing is run-granular: every disk view here is a
-// *simdisk.Array, which implements buffercache.RunBackend, so the
-// cache's cold paths — eviction write-backs, the flush-on-close sweep
-// (FlushRange), and Settle's final Flush — submit contiguous page spans
-// as single AccessRun calls rather than one Access per page. The
-// simulated completion times are bit-identical either way; only the
-// engine's wall cost differs.
+// *simdisk.Array (or a shared-queue lane over one), which serves the
+// whole buffercache.Backend — so the cache's cold paths submit eviction
+// write-backs and flush-on-close spans (FlushRange) as single AccessRun
+// calls, and Settle's final Flush as one scheduled ServeBatch sweep,
+// rather than one Access per page. The simulated completion times are
+// bit-identical either way; only the engine's wall cost differs.
 package fsim
 
 import (
@@ -264,6 +264,9 @@ type FileStore struct {
 	// submits into instead of owning a private timing view.
 	queue  *sharedq.Queue
 	qArray *simdisk.Array
+	// wbArray is the background write-back's disk view; nil without
+	// write-back.
+	wbArray *simdisk.Array
 	// spares is the hot-spare pool rebuilds draw from; nil when
 	// Config.Spares is zero (each rebuild then provisions ad hoc).
 	spares *simdisk.SparePool
@@ -351,6 +354,7 @@ func NewFileStore(cfg Config) (*FileStore, error) {
 		if err := wbArray.ApplyFaultPlan(tl.Start(), cfg.Faults); err != nil {
 			return nil, err
 		}
+		s.wbArray = wbArray
 		cache.SetWritebackBackend(wbArray)
 	}
 	return s, nil
@@ -412,14 +416,17 @@ func (s *FileStore) Settle() (time.Time, time.Duration) {
 	return done, d
 }
 
-// TotalDiskStats sums the shared array's statistics with every live
-// session's private view and the retired totals of released sessions,
-// so no simulated disk traffic is invisible.
+// TotalDiskStats sums the shared array's statistics with the write-back
+// view, every live session's private view and the retired totals of
+// released sessions, so no simulated disk traffic is invisible.
 func (s *FileStore) TotalDiskStats() simdisk.Stats {
 	total := s.array.TotalStats()
-	if s.qArray != nil {
-		// Shared-queue sessions all bill the one contended array.
-		total.Add(s.qArray.TotalStats())
+	// Shared-queue sessions all bill the one contended array; background
+	// write-back bills its own view.
+	for _, a := range []*simdisk.Array{s.qArray, s.wbArray} {
+		if a != nil {
+			total.Add(a.TotalStats())
+		}
 	}
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()

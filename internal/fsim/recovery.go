@@ -13,6 +13,7 @@
 package fsim
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -213,10 +214,13 @@ func (s RecoveryStats) Sub(other RecoveryStats) RecoveryStats {
 // Any reports whether anything was injected.
 func (s RecoveryStats) Any() bool { return s.Injected != 0 }
 
+// ErrInjected is the sentinel every injected fault unwraps to, so
+// errors.Is(err, ErrInjected) tells injection from genuine store errors.
+var ErrInjected = errors.New("fsim: injected fault")
+
 // FaultError is the typed unrecoverable error a session op returns when
 // injection defeats the retry policy: either the fault was permanent or
-// the retries ran out. It unwraps to ErrInjected, so existing
-// errors.Is(err, ErrInjected) checks keep working.
+// the retries ran out. It unwraps to ErrInjected.
 type FaultError struct {
 	Op OpKind
 	// Permanent distinguishes an unretryable fault from retry exhaustion.

@@ -2,6 +2,7 @@ package fsim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,67 +156,71 @@ func TestReleaseFoldsRecoveryStats(t *testing.T) {
 	}
 }
 
-// TestSeededFaultStore pins the FaultStore's seeded mode: the schedule
-// is budget-bounded, reproducible for a seed, different across seeds,
-// and the legacy every-Nth counter is untouched.
-func TestSeededFaultStore(t *testing.T) {
-	run := func(spec InjectSpec) []int {
-		store := MustNewFileStore(DefaultConfig())
-		defer store.Close()
-		if _, err := store.Create("f", []byte("hello")); err != nil {
-			t.Fatal(err)
-		}
-		fs := NewSeededFaultStore(store, spec)
-		var failedAt []int
-		for i := 0; i < 200; i++ {
-			if _, _, err := fs.Stat("f"); err != nil {
-				if !errors.Is(err, ErrInjected) {
-					t.Fatalf("op %d: %v", i, err)
-				}
-				failedAt = append(failedAt, i)
-			}
-		}
-		return failedAt
-	}
-	spec := InjectSpec{Seed: 42, Rate: 10, Budget: 5}
-	a := run(spec)
-	b := run(spec)
-	if len(a) == 0 || len(a) > 5 {
-		t.Fatalf("seeded schedule fired %d times, want 1..5 (budget)", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("seeded schedule not reproducible: %v vs %v", a, b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("seeded schedule diverged at %d: %v vs %v", i, a, b)
-		}
-	}
-	other := run(InjectSpec{Seed: 43, Rate: 10, Budget: 5})
-	same := len(other) == len(a)
-	if same {
-		for i := range a {
-			if a[i] != other[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatalf("distinct seeds drew identical schedules: %v", a)
-	}
-
-	// Per-op-type targeting: a write-only mask never fails stats.
-	store := MustNewFileStore(DefaultConfig())
+// runInjected drives 200 session Stats under spec and returns the op
+// indices that failed with an injected fault. After every op it checks
+// that the untimed namespace probes (Exists, Names) were not interposed.
+func runInjected(t *testing.T, spec InjectSpec) []int {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Inject = spec
+	store := MustNewFileStore(cfg)
 	defer store.Close()
 	if _, err := store.Create("f", []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	masked := NewSeededFaultStore(store, InjectSpec{Seed: 42, Rate: 1, Ops: MaskOf(OpWrite)})
-	for i := 0; i < 50; i++ {
-		if _, _, err := masked.Stat("f"); err != nil {
-			t.Fatalf("write-masked store failed a stat: %v", err)
+	sess := store.NewSession()
+	defer sess.Release()
+	var failedAt []int
+	for i := 0; i < 200; i++ {
+		if _, _, err := sess.Stat("f"); err != nil {
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("op %d: %v", i, err)
+			}
+			failedAt = append(failedAt, i)
 		}
+		if !sess.Exists("f") || len(sess.Names()) != 1 {
+			t.Fatalf("op %d: namespace probe interposed", i)
+		}
+	}
+	return failedAt
+}
+
+// The three tests below keep the names they had when injection lived in
+// a FaultStore wrapper; they now pin the same properties on session
+// injection (Config.Inject), the one injector left.
+
+// TestFaultStoreDisabled pins that the zero spec never fires.
+func TestFaultStoreDisabled(t *testing.T) {
+	if got := runInjected(t, InjectSpec{}); len(got) != 0 {
+		t.Fatalf("zero spec fired at %v", got)
+	}
+}
+
+// TestFaultStorePassthroughMetadata pins that Exists and Names are not
+// operations: with every timed op failing, they still answer.
+func TestFaultStorePassthroughMetadata(t *testing.T) {
+	if got := runInjected(t, InjectSpec{Seed: 1, Rate: 1}); len(got) != 200 {
+		t.Fatalf("Rate=1 failed %d of 200 stats, want all", len(got))
+	}
+}
+
+// TestSeededFaultStore pins the seeded schedule: it is budget-bounded,
+// reproducible for a seed, different across seeds, and honours the op
+// mask.
+func TestSeededFaultStore(t *testing.T) {
+	spec := InjectSpec{Seed: 42, Rate: 10, Budget: 5}
+	a := runInjected(t, spec)
+	if len(a) == 0 || len(a) > 5 {
+		t.Fatalf("seeded schedule fired %d times, want 1..5 (budget)", len(a))
+	}
+	if b := runInjected(t, spec); !slices.Equal(a, b) {
+		t.Fatalf("seeded schedule not reproducible: %v vs %v", a, b)
+	}
+	if other := runInjected(t, InjectSpec{Seed: 43, Rate: 10, Budget: 5}); slices.Equal(a, other) {
+		t.Fatalf("distinct seeds drew identical schedules: %v", a)
+	}
+	if got := runInjected(t, InjectSpec{Seed: 42, Rate: 1, Ops: MaskOf(OpWrite)}); len(got) != 0 {
+		t.Fatalf("write-masked schedule failed stats at %v", got)
 	}
 }
 

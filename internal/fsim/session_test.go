@@ -170,6 +170,40 @@ func TestAsyncCloseUnderWriteback(t *testing.T) {
 	}
 }
 
+// TestWritebackTrafficInTotalDiskStats: the background flushers write
+// through their own disk view, and TotalDiskStats must count it — every
+// byte the cache hands the disk shows up as a byte the disks wrote.
+func TestWritebackTrafficInTotalDiskStats(t *testing.T) {
+	s := MustNewFileStore(writebackConfig())
+	defer s.Close()
+	if _, err := s.CreateSized("f", 16<<20); err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	f, _, err := sess.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64<<10)
+	for i := 0; i < 200; i++ {
+		if _, _, err := f.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sess.Release()
+	s.Settle()
+	cached := s.Cache().Stats().BytesToDisk
+	if want := int64(200 * len(buf)); cached != want {
+		t.Fatalf("cache BytesToDisk %d, want %d", cached, want)
+	}
+	if got := s.TotalDiskStats().BytesWritten; got != cached {
+		t.Fatalf("TotalDiskStats BytesWritten %d, cache BytesToDisk %d: write-back traffic is invisible", got, cached)
+	}
+}
+
 // TestSettleWithoutWritebackFlushes: the settle path on a plain store is
 // the deterministic elevator flush, charged to foreground time.
 func TestSettleWithoutWritebackFlushes(t *testing.T) {

@@ -13,21 +13,3 @@ func BenchmarkSend(b *testing.B) {
 		nw.Send(now, i%16, (i+1)%16, 64<<10)
 	}
 }
-
-func BenchmarkBarrier(b *testing.B) {
-	nw := MustNew(32, LANParams())
-	now := time.Unix(0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = nw.Barrier(now)
-	}
-}
-
-func BenchmarkAllReduce(b *testing.B) {
-	nw := MustNew(32, LANParams())
-	now := time.Unix(0, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = nw.AllReduce(now, 4096)
-	}
-}

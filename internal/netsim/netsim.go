@@ -7,13 +7,12 @@
 // this package.
 //
 // The model is the standard alpha-beta (latency-bandwidth) point-to-point
-// cost with per-NIC serialization, plus the usual logarithmic collective
-// algorithms built on it. Everything is deterministic virtual time.
+// cost with per-NIC serialization. Everything is deterministic virtual
+// time.
 package netsim
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -67,10 +66,9 @@ func (p Params) MessageCost(n int64) time.Duration {
 
 // Stats counts network activity.
 type Stats struct {
-	Messages   int64
-	Bytes      int64
-	BusyTime   time.Duration
-	Collective int64
+	Messages int64
+	Bytes    int64
+	BusyTime time.Duration
 	// Dropped counts messages lost to node kills or link-drop windows
 	// (SendLossy under a FaultPlan).
 	Dropped int64
@@ -151,109 +149,6 @@ func (n *Network) Send(now time.Time, src, dst int, size int64) (time.Time, erro
 	n.stats.Bytes += size
 	n.stats.BusyTime += done.Sub(start)
 	return done, nil
-}
-
-// log2ceil returns ⌈log₂ p⌉ (0 for p ≤ 1).
-func log2ceil(p int) int {
-	if p <= 1 {
-		return 0
-	}
-	return bits.Len(uint(p - 1))
-}
-
-// Barrier synchronizes all nodes starting at now using a dissemination
-// barrier: ⌈log₂ P⌉ rounds of zero-payload messages. It returns the time
-// every node has left the barrier.
-func (n *Network) Barrier(now time.Time) time.Time {
-	n.mu.Lock()
-	rounds := log2ceil(len(n.nicBusy))
-	cost := time.Duration(rounds) * n.params.MessageCost(0)
-	// A barrier cannot complete before every NIC has drained.
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(cost)
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds * len(n.nicBusy))
-	n.mu.Unlock()
-	return done
-}
-
-// Broadcast sends size bytes from root to every other node via a binomial
-// tree: ⌈log₂ P⌉ rounds, each a full message cost. It returns the time
-// the last node holds the data.
-func (n *Network) Broadcast(now time.Time, root int, size int64) (time.Time, error) {
-	if root < 0 || root >= len(n.nicBusy) {
-		return now, fmt.Errorf("netsim: broadcast root %d outside 0..%d", root, len(n.nicBusy)-1)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rounds := log2ceil(len(n.nicBusy))
-	start := now
-	if n.nicBusy[root].After(start) {
-		start = n.nicBusy[root]
-	}
-	done := start.Add(time.Duration(rounds) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds)
-	n.stats.Bytes += size * int64(rounds)
-	return done, nil
-}
-
-// AllReduce combines size bytes across all nodes (recursive doubling:
-// ⌈log₂ P⌉ rounds of size-byte exchanges) and returns completion time.
-func (n *Network) AllReduce(now time.Time, size int64) time.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	rounds := log2ceil(len(n.nicBusy))
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(time.Duration(rounds) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(rounds * len(n.nicBusy))
-	n.stats.Bytes += size * int64(rounds*len(n.nicBusy))
-	return done
-}
-
-// Exchange models a nearest-neighbour halo exchange: every node sends
-// size bytes to each of `neighbours` peers concurrently (NICs serialize
-// each node's own sends). It returns the completion time.
-func (n *Network) Exchange(now time.Time, size int64, neighbours int) time.Time {
-	if neighbours < 0 {
-		neighbours = 0
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	start := now
-	for _, busy := range n.nicBusy {
-		if busy.After(start) {
-			start = busy
-		}
-	}
-	done := start.Add(time.Duration(neighbours) * n.params.MessageCost(size))
-	for i := range n.nicBusy {
-		n.nicBusy[i] = done
-	}
-	n.stats.Collective++
-	n.stats.Messages += int64(neighbours * len(n.nicBusy))
-	n.stats.Bytes += size * int64(neighbours*len(n.nicBusy))
-	return done
 }
 
 // Reset clears busy horizons, statistics, and any applied fault plan.

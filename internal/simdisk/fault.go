@@ -236,14 +236,6 @@ func (d *Disk) InjectFault(epoch time.Time, f Fault) error {
 	return nil
 }
 
-// ClearFaults drops every scheduled fault — the rebuild path calls this
-// when a fresh platter replaces the member.
-func (d *Disk) ClearFaults() {
-	d.mu.Lock()
-	d.flt = nil
-	d.mu.Unlock()
-}
-
 // Failed reports whether the device is dead at the given virtual time.
 func (d *Disk) Failed(now time.Time) bool {
 	d.mu.Lock()

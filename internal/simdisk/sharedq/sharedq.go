@@ -125,8 +125,8 @@ type Queue struct {
 
 // Lane is one actor's port into the queue. A Lane must be used by a
 // single goroutine at a time (the same contract as fsim.Session); it
-// satisfies buffercache's Backend, RunBackend, BatchBackend, and
-// AsyncBackend capabilities, so a cache IO can sit directly on it.
+// satisfies buffercache's Backend and AsyncBackend, so a cache IO can
+// sit directly on it.
 type Lane struct {
 	q  *Queue
 	id int
@@ -336,7 +336,7 @@ func (l *Lane) AccessRun(now time.Time, r simdisk.Run) (time.Time, time.Duration
 
 // ServeBatch submits a blocking sweep (a flush of many dirty pages) as
 // one scheduling unit, ordered internally by the submitter's policy
-// when dispatched. Satisfies buffercache's BatchBackend.
+// when dispatched.
 func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.SchedPolicy) ([]simdisk.BatchResult, time.Time) {
 	if len(reqs) == 0 {
 		return nil, now

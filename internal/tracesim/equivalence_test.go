@@ -1,32 +1,23 @@
 package tracesim
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/buffercache"
 	"repro/internal/fsim"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
-// equivalenceStore builds a store with real cache pressure (an 8 MB
-// cache under a 64 MB file) so the replay exercises hits, miss runs,
-// prefetch, dirty write-back on eviction, and flush-on-close.
-// pageGranular routes the cache's data path through the retained
-// per-page reference implementation.
-func equivalenceStore(t *testing.T, shards int, pageGranular bool) *fsim.FileStore {
-	t.Helper()
-	cfg := fsim.DefaultConfig()
-	cfg.Cache.Shards = shards
-	cfg.Cache.NumPages = 2048 // 8 MB: evictions engage
-	store, err := fsim.NewFileStore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Cache().SetPageGranular(pageGranular)
-	return store
-}
+var update = flag.Bool("update", false, "rewrite testdata/replay_*.txt from the current cache; "+
+	"they were generated at the commit that still carried the per-page reference path, from both "+
+	"paths, so moving them means moving the model: say so in the change")
 
 // mixedTrace is the consolidated multi-application workload: all five
 // paper applications interleaved, with reads, writes, and seeks.
@@ -42,68 +33,104 @@ func mixedTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
-// TestReplayBulkMatchesPageGranular replays the mixed trace through the
-// bulk cache path and the retained per-page path: the reports — every
-// latency summary and per-request row — and the cache statistics must
-// be identical. This is the end-to-end form of the buffercache
-// equivalence contract: the bulk rewrite changed the wall-clock cost of
-// the replay engine, not one nanosecond of what it simulates.
-func TestReplayBulkMatchesPageGranular(t *testing.T) {
-	tr := mixedTrace(t)
-	run := func(pageGranular bool) (*Report, buffercache.Stats, int, int) {
-		store := equivalenceStore(t, 1, pageGranular)
-		defer store.Close()
-		rp := NewReplayer(store)
-		rp.SampleFileSize = 64 << 20
-		rep, err := rp.Replay("Mixed", tr)
-		if err != nil {
+// renderReplay is the text a replay pin holds: every summary, every
+// request row, the cache statistics and the resident and dirty page
+// counts, floats in their shortest exact form. WritebackBatches is left
+// out: how many drains the flusher wake-ups coalesce into follows host
+// goroutine scheduling (ROADMAP 3), while WritebackPages still pins
+// every page they wrote.
+func renderReplay(rep *Report, store *fsim.FileStore) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "app %s\nelapsed %d\nworker_time %d\nthink_time %d\ntotal_requests %d\nrecovery %+v\n",
+		rep.App, rep.Elapsed, rep.WorkerTime, rep.ThinkTime, rep.TotalRequests, rep.Recovery)
+	for _, op := range []struct {
+		name string
+		s    *metrics.Summary
+	}{{"open", &rep.Open}, {"close", &rep.Close}, {"read", &rep.Read}, {"write", &rep.Write}, {"seek", &rep.Seek}} {
+		fmt.Fprintf(&b, "%s n=%d mean=%v var=%v min=%v max=%v\n", op.name, op.s.N(), op.s.Mean(), op.s.Var(), op.s.Min(), op.s.Max())
+	}
+	for _, r := range rep.Requests {
+		fmt.Fprintf(&b, "#%d %s size=%d seek=%v read=%v write=%v\n", r.Index, r.Op, r.Size, r.SeekMS, r.ReadMS, r.WriteMS)
+	}
+	c := store.Cache()
+	st := c.Stats()
+	st.WritebackBatches = 0
+	fmt.Fprintf(&b, "cache %+v\nresident %d\ndirty %d\n", st, c.ResidentPages(), c.DirtyPages())
+	return b.String()
+}
+
+// checkPin compares got with testdata/file, or rewrites the file under
+// -update.
+func checkPin(t *testing.T, file, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		stats := store.Cache().Stats()
-		return rep, stats, store.Cache().ResidentPages(), store.Cache().DirtyPages()
+		return
 	}
-	bulkRep, bulkStats, bulkRes, bulkDirty := run(false)
-	pageRep, pageStats, pageRes, pageDirty := run(true)
-	if !reflect.DeepEqual(bulkRep, pageRep) {
-		t.Fatalf("reports diverge:\nbulk elapsed %v, per-page elapsed %v\nbulk read mean %v, per-page %v",
-			bulkRep.Elapsed, pageRep.Elapsed, bulkRep.Read.Mean(), pageRep.Read.Mean())
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bulkStats != pageStats {
-		t.Fatalf("cache stats diverge:\nbulk:     %+v\nper-page: %+v", bulkStats, pageStats)
+	if got == string(want) {
+		return
 	}
-	if bulkRes != pageRes || bulkDirty != pageDirty {
-		t.Fatalf("cache state diverges: resident %d vs %d, dirty %d vs %d",
-			bulkRes, pageRes, bulkDirty, pageDirty)
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("replay differs from %s at line %d:\ngot:  %s\nwant: %s", path, i+1, gl[i], wl[i])
+		}
 	}
-	if bulkStats.HitRate() == 0 || bulkStats.Evictions == 0 {
-		t.Fatalf("workload exercised no pressure (hit rate %v, evictions %d); equivalence test is vacuous",
-			bulkStats.HitRate(), bulkStats.Evictions)
+	t.Fatalf("replay differs from %s: %d lines, want %d", path, len(gl), len(wl))
+}
+
+// TestReplayBulkMatchesPageGranular is the end-to-end form of the
+// buffercache equivalence contract: the mixed trace on one stripe under
+// real cache pressure (an 8 MB cache under a 64 MB file: hits, miss
+// runs, prefetch, dirty write-back on eviction, flush-on-close) must
+// reproduce testdata/replay_serial_mixed.txt, which the bulk path and
+// the per-page reference path both produced byte for byte. The bulk
+// rewrite changed the wall-clock cost of the replay engine, not one
+// nanosecond of what it simulates.
+func TestReplayBulkMatchesPageGranular(t *testing.T) {
+	tr := mixedTrace(t)
+	cfg := fsim.DefaultConfig()
+	cfg.Cache.Shards = 1
+	cfg.Cache.NumPages = 2048 // 8 MB: evictions engage
+	store := fsim.MustNewFileStore(cfg)
+	defer store.Close()
+	rp := NewReplayer(store)
+	rp.SampleFileSize = 64 << 20
+	rep, err := rp.Replay("Mixed", tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if bulkRep.Read.N() == 0 || bulkRep.Write.N() == 0 || bulkRep.Seek.N() == 0 {
-		t.Fatal("mixed trace missing an operation kind; equivalence test is vacuous")
+	if st := store.Cache().Stats(); st.HitRate() == 0 || st.Evictions == 0 {
+		t.Fatalf("workload exercised no pressure (hit rate %v, evictions %d); the pin is vacuous",
+			st.HitRate(), st.Evictions)
 	}
+	if rep.Read.N() == 0 || rep.Write.N() == 0 || rep.Seek.N() == 0 {
+		t.Fatal("mixed trace missing an operation kind; the pin is vacuous")
+	}
+	checkPin(t, "replay_serial_mixed.txt", renderReplay(rep, store))
 }
 
 // TestConcurrentReplayBulkMatchesPageGranular is the same contract for
-// the simulated-parallel path: 8 workers on 8 stripes, write-back on.
+// the simulated-parallel path: 8 workers on 8 stripes, write-back on,
+// against testdata/replay_concurrent_parallel.txt.
 func TestConcurrentReplayBulkMatchesPageGranular(t *testing.T) {
 	tr := determinismTrace(t)
-	run := func(pageGranular bool) *Report {
-		store := fsim.MustNewFileStore(determinismConfig())
-		defer store.Close()
-		store.Cache().SetPageGranular(pageGranular)
-		rp := NewReplayer(store)
-		rp.SampleFileSize = 32 << 20
-		rep, err := rp.ReplayConcurrent("Parallel", tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	store := fsim.MustNewFileStore(determinismConfig())
+	defer store.Close()
+	rp := NewReplayer(store)
+	rp.SampleFileSize = 32 << 20
+	rep, err := rp.ReplayConcurrent("Parallel", tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bulk, page := run(false), run(true)
-	if !reflect.DeepEqual(bulk, page) {
-		t.Fatalf("concurrent reports diverge: bulk elapsed %v vs per-page %v", bulk.Elapsed, page.Elapsed)
-	}
+	checkPin(t, "replay_concurrent_parallel.txt", renderReplay(rep, store))
 }
 
 // TestReplaySourcesAgree ties the three record sources to the one lane

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fsim"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -93,5 +94,46 @@ func TestReplayConcurrentMixedSharded(t *testing.T) {
 	}
 	if got, budget := store.Cache().ResidentPages(), store.Cache().Config().NumPages; got > budget {
 		t.Fatalf("resident pages %d exceed budget %d", got, budget)
+	}
+}
+
+func TestReplayConcurrentPgrep(t *testing.T) {
+	p := testParams()
+	tr, err := tracegen.Pgrep(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := fsim.MustNewFileStore(fsim.DefaultConfig())
+	rp := NewReplayer(store)
+	rp.SampleFileSize = p.FileSize
+	rep, err := rp.ReplayConcurrent("Pgrep", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Same op counts as a sequential replay of the same trace.
+	seqStore := fsim.MustNewFileStore(fsim.DefaultConfig())
+	seqRp := NewReplayer(seqStore)
+	seqRp.SampleFileSize = p.FileSize
+	seqRep, err := seqRp.Replay("Pgrep", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Read.N() != seqRep.Read.N() {
+		t.Fatalf("concurrent read count %d != sequential %d", rep.Read.N(), seqRep.Read.N())
+	}
+	// PID 1-3's records precede their own opens (the trace has one open
+	// record, attributed to PID 0), so the concurrent replay issues
+	// implicit opens: one per worker.
+	if rep.Open.N() != 4 {
+		t.Fatalf("concurrent opens = %d, want 4 (one per process)", rep.Open.N())
+	}
+}
+
+func TestReplayConcurrentRejectsInvalid(t *testing.T) {
+	store := fsim.MustNewFileStore(fsim.DefaultConfig())
+	rp := NewReplayer(store)
+	bad := &trace.Trace{Header: trace.Header{SampleFile: ""}}
+	if _, err := rp.ReplayConcurrent("bad", bad); err == nil {
+		t.Fatal("invalid trace accepted")
 	}
 }

@@ -260,14 +260,18 @@ func TestWorkerPoolMode(t *testing.T) {
 
 func TestServerSurvivesStorageFaults(t *testing.T) {
 	// A server over failing storage must keep answering (with errors),
-	// not crash or hang.
-	inner := fsim.MustNewFileStore(fsim.DefaultConfig())
-	if err := workload.Install(inner, workload.WebCorpus()); err != nil {
+	// not crash or hang. Injection rides on sessions, so the connection
+	// gets one (Lanes); the corpus is installed on the default session,
+	// which never injects.
+	cfg := fsim.DefaultConfig()
+	cfg.Inject = fsim.InjectSpec{Seed: 3, Rate: 4}
+	store := fsim.MustNewFileStore(cfg)
+	defer store.Close()
+	if err := workload.Install(store, workload.WebCorpus()); err != nil {
 		t.Fatal(err)
 	}
-	faulty := fsim.NewFaultStore(inner, 3)
 	rt := vm.MustNew(vm.DefaultConfig(), nil)
-	srv, err := New(Config{Store: faulty, Runtime: rt})
+	srv, err := New(Config{Store: store, Runtime: rt, Lanes: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +302,9 @@ func TestServerSurvivesStorageFaults(t *testing.T) {
 	}
 	if okCount == 0 {
 		t.Fatal("every request failed; injector misconfigured")
+	}
+	if rec := store.RecoveryStats(); rec.Failed != int64(errCount) {
+		t.Fatalf("store counted %d failed ops for %d error responses", rec.Failed, errCount)
 	}
 }
 
