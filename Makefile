@@ -30,7 +30,7 @@ check-globals:
 # race-instrumented tests.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -run 'Fuzz' ./internal/trace/ ./internal/buffercache/ ./internal/simdisk/
+	$(GO) test -race -run 'Fuzz' ./internal/trace/ ./internal/buffercache/ ./internal/simdisk/ ./internal/netsim/
 
 # Fuzz smoke: `test` and `race` only replay the checked-in corpora;
 # this gives every fuzz target ten seconds of real mutation. A crasher
@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceV2$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDump$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime 10s ./internal/simdisk
+	$(GO) test -run '^$$' -fuzz '^FuzzNetFaultPlanParse$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/webserver
 	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 10s ./internal/buffercache
 
@@ -57,11 +58,13 @@ bench-cold:
 	$(GO) test -run '^$$' -bench 'BenchmarkCacheMissEvict' -benchtime=1x ./internal/buffercache
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./internal/simdisk
 
-# Contention smoke: the partitioned replay through the shared disk
+# Contention smoke: one dispatch out of a thousands-deep pending set
+# under each policy, then the partitioned replay through the shared disk
 # queue at 1, 4, and 8 lanes. One lane must serve inline (the private
 # model nested exactly); 4 and 8 lanes exercise the event-merged
 # dispatch gate end to end from the command line.
 bench-contention:
+	$(GO) test -run '^$$' -bench 'BenchmarkQueueDispatchDeep' -benchtime=1x ./internal/simdisk/sharedq
 	$(GO) run ./cmd/tracebench -app Parallel -workers 1 -concurrent -shards 8 -disk-queue shared -sched sstf
 	$(GO) run ./cmd/tracebench -app Parallel -workers 4 -concurrent -shards 8 -disk-queue shared -sched sstf
 	$(GO) run ./cmd/tracebench -app Parallel -workers 8 -concurrent -shards 8 -disk-queue shared -sched sstf

@@ -15,9 +15,9 @@ import (
 	"repro/internal/core"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/clibench_*.txt from the current clibench; "+
+var update = flag.Bool("update", false, "rewrite testdata/{clibench,tracebench_sharedq}_*.txt from the current binaries; "+
 	"they pin every registry experiment's output at the defaults and under one all-knobs config, "+
-	"so moving them means moving the model: say so in the change")
+	"and the shared-queue replay under FCFS and SCAN, so moving them means moving the model: say so in the change")
 
 // buildTool compiles ./cmd/<name> into a per-test-run temp dir and
 // returns the binary path. Builds are cached per test binary run.
@@ -126,6 +126,32 @@ func TestCLIClibenchGoldens(t *testing.T) {
 		}
 		if out != string(want) {
 			t.Errorf("clibench %v differs from %s (-update rewrites it; read the flag's help first)", args, file)
+		}
+	}
+}
+
+// TestCLISharedQueuePolicies pins the 8-lane shared-queue replay byte for
+// byte under FCFS and SCAN, as bench/golden/tracebench_sharedq.txt pins
+// it under SSTF: how the queue indexes its pending set must never change
+// which request it serves, or when.
+func TestCLISharedQueuePolicies(t *testing.T) {
+	bin := buildTool(t, "tracebench")
+	for _, sched := range []string{"fcfs", "scan"} {
+		file := "testdata/tracebench_sharedq_" + sched + ".txt"
+		out := run(t, bin, "-app", "Parallel", "-workers", "8", "-concurrent", "-shards", "8",
+			"-disk-queue", "shared", "-sched", sched, "-requests-detail")
+		if *update {
+			if err := os.WriteFile(file, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("tracebench -sched %s differs from %s (-update rewrites it; read the flag's help first)", sched, file)
 		}
 	}
 }

@@ -38,6 +38,22 @@ func BenchmarkCacheMissEvict(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheMissEvictSharded is the miss/evict cycle on an 8-stripe
+// cache at the full default budget, walking a 1 GiB page range: every
+// read installs a page and evicts one, so each stripe's page table sees
+// the keys the stripe hash routes to it under constant churn.
+func BenchmarkCacheMissEvictSharded(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Shards = 8
+	cfg.PrefetchPages = 0
+	c := benchCache(b, cfg)
+	now := time.Unix(0, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Read(now, int64(i)*4096%(1<<30), 4096)
+	}
+}
+
 func BenchmarkCacheSequentialScanPrefetch(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.PrefetchPages = 64

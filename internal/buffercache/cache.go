@@ -322,7 +322,7 @@ type Cache struct {
 	backend Backend
 
 	shards     []*shard
-	shardShift uint // stripe index = fibonacci hash >> (64 - shardShift)
+	shardShift uint // stripe index = fibonacci hash >> (64 - shardShift); page tables home on the bits below
 
 	// pool holds the frames not resident anywhere: the global memory
 	// budget. used is the atomic residency gauge (== NumPages - free
@@ -375,7 +375,7 @@ func New(cfg Config, backend Backend) (*Cache, error) {
 		c.shards[i] = &shard{
 			free: make([]*frame, 0, poolRefillBatch),
 		}
-		c.shards[i].table.init(cfg.NumPages/nShards + 1)
+		c.shards[i].table.init(cfg.NumPages/nShards+1, shift)
 	}
 	c.defIO = c.NewIO(backend)
 	c.wbBackend = backend

@@ -8,7 +8,8 @@
 // allocation-free design real kernels use for buffer lookup structures:
 //
 //   - power-of-two slot array sized from the shard's share of the frame
-//     budget, probed linearly from a fibonacci-hashed home slot;
+//     budget, probed linearly from a fibonacci-hashed home slot taken
+//     from the hash bits below the cache's stripe bits;
 //   - deletion by backshift (Knuth's algorithm R): the probe chain is
 //     compacted in place, so there are no tombstones and lookups never
 //     degrade under install/evict churn;
@@ -30,16 +31,20 @@ package buffercache
 // use — it lives under its shard's mutex.
 type pageTable struct {
 	slots []*frame
-	shift uint // home slot = hash >> shift; len(slots) == 1<<(64-shift)
+	skip  uint // top hash bits spent on the stripe index, discarded here
+	shift uint // home slot = (hash << skip) >> shift; len(slots) == 1<<(64-shift)
 	used  int
 }
 
-// pageTableFor sizes a table for a shard expected to hold about budget
-// frames: the smallest power of two keeping the load factor at or below
-// one half at that occupancy (minimum 16 slots). Capacity migrates
-// between shards under pressure, so the table grows by rehash if this
-// shard outruns its share.
-func (t *pageTable) init(budget int) {
+// init sizes a table for a shard expected to hold about budget frames:
+// the smallest power of two keeping the load factor at or below one half
+// at that occupancy (minimum 16 slots). Capacity migrates between shards
+// under pressure, so the table grows by rehash if this shard outruns its
+// share. skip is the cache's stripe shift (0 for one shard): every key
+// of a shard agrees on those top hash bits, so the home slot must come
+// from the bits below them.
+func (t *pageTable) init(budget int, skip uint) {
+	t.skip = skip
 	size := 16
 	for size < 2*budget {
 		size <<= 1
@@ -47,11 +52,13 @@ func (t *pageTable) init(budget int) {
 	t.grow(size)
 }
 
-// hashSlot returns the home slot for page: fibonacci hashing (the same
-// multiplier the cache stripes with), taking the top bits so clustered
-// page numbers scatter.
+// hashSlot returns the home slot for page: fibonacci hashing with the
+// cache's stripe multiplier, taking the top bits left after the stripe
+// index so clustered page numbers scatter. Taking the stripe bits again
+// would home every key of a stripe into one 1/N window of the table,
+// where linear probing degrades into walking a solid run.
 func (t *pageTable) hashSlot(page int64) int {
-	return int((uint64(page) * 0x9E3779B97F4A7C15) >> t.shift)
+	return int(((uint64(page) * 0x9E3779B97F4A7C15) << t.skip) >> t.shift)
 }
 
 // get returns the frame holding page, or nil.

@@ -50,3 +50,17 @@ func BenchmarkServeBatchSSTF(b *testing.B) {
 		d.ServeBatch(now, reqs, SSTF)
 	}
 }
+
+// BenchmarkScheduleOrderSSTF orders a close-time flush's worth of dirty
+// pages: 2,048 scattered 4 KiB writes, the size a replay_sharedq lane
+// hands its write-back sweep.
+func BenchmarkScheduleOrderSSTF(b *testing.B) {
+	reqs := scatteredBatch(MustNew(DefaultParams()), 2048)
+	for i := range reqs {
+		reqs[i].Length = 4096
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ScheduleOrder(0, reqs, SSTF)
+	}
+}

@@ -1,7 +1,9 @@
 package simdisk
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -81,22 +83,7 @@ func ScheduleOrder(head int64, reqs []Request, policy SchedPolicy) []int {
 	case FCFS:
 		// Arrival order as given.
 	case SSTF:
-		// Greedy nearest-first simulation of head movement.
-		remaining := append([]int(nil), order...)
-		order = order[:0]
-		for len(remaining) > 0 {
-			best := 0
-			bestDist := absInt64(reqs[remaining[0]].Offset - head)
-			for i := 1; i < len(remaining); i++ {
-				if dist := absInt64(reqs[remaining[i]].Offset - head); dist < bestDist {
-					best, bestDist = i, dist
-				}
-			}
-			idx := remaining[best]
-			order = append(order, idx)
-			head = reqs[idx].Offset + reqs[idx].Length
-			remaining = append(remaining[:best], remaining[best+1:]...)
-		}
+		order = sstfOrder(head, reqs, order)
 	case SCAN:
 		var up, down []int
 		for _, idx := range order {
@@ -138,9 +125,69 @@ func (d *Disk) ServeBatch(now time.Time, reqs []Request, policy SchedPolicy) ([]
 	return results, end
 }
 
-func absInt64(x int64) int64 {
-	if x < 0 {
-		return -x
+// sstfOrder is the greedy nearest-first simulation of head movement:
+// from head, serve the unserved request whose offset is nearest (the
+// lowest index among equally near ones), move the head to that
+// request's end, repeat. byOff (the identity permutation on entry)
+// is sorted by (offset, index), so the nearest unserved request on
+// either side of the head is one binary search plus a skip over served
+// positions away. The skips are union-find links with path halving,
+// so the whole order costs O(n log n), not a scan of the remainder per
+// pick.
+func sstfOrder(head int64, reqs []Request, byOff []int) []int {
+	n := len(reqs)
+	slices.SortFunc(byOff, func(a, b int) int {
+		if c := cmp.Compare(reqs[a].Offset, reqs[b].Offset); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	offs := make([]int64, n)
+	for p, idx := range byOff {
+		offs[p] = reqs[idx].Offset
 	}
-	return x
+	firstAtOrPast := func(o int64) int {
+		p, _ := slices.BinarySearch(offs, o)
+		return p
+	}
+	// From p, next leads to the first unserved position >= p (n: none).
+	// From p+1, prev leads to one past the last unserved position <= p
+	// (0: none).
+	next := make([]int, n+1)
+	prev := make([]int, n+1)
+	for p := range next {
+		next[p], prev[p] = p, p
+	}
+	find := func(link []int, k int) int {
+		for link[k] != k {
+			link[k] = link[link[k]]
+			k = link[k]
+		}
+		return k
+	}
+	order := make([]int, 0, n)
+	for len(order) < n {
+		split := firstAtOrPast(head)
+		up, down := find(next, split), find(prev, split)-1
+		if down >= 0 {
+			// The lowest index at that offset is its first unserved position.
+			down = find(next, firstAtOrPast(offs[down]))
+		}
+		pick := up
+		switch {
+		case down < 0:
+		case up == n:
+			pick = down
+		default:
+			du, dd := offs[up]-head, head-offs[down]
+			if dd < du || dd == du && byOff[down] < byOff[up] {
+				pick = down
+			}
+		}
+		next[pick], prev[pick+1] = pick+1, pick
+		idx := byOff[pick]
+		order = append(order, idx)
+		head = reqs[idx].Offset + reqs[idx].Length
+	}
+	return order
 }

@@ -1,6 +1,8 @@
 package simdisk
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,6 +112,59 @@ func TestPolicyString(t *testing.T) {
 	}
 	if SchedPolicy(9).String() != "policy(9)" {
 		t.Fatal("unknown policy name wrong")
+	}
+}
+
+// refSSTFOrder is the greedy nearest-first order as a scan of the
+// remainder per pick: the strictly nearest wins, so among equally near
+// requests the lowest index does.
+func refSSTFOrder(head int64, reqs []Request) []int {
+	remaining := make([]int, len(reqs))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	abs := func(x int64) int64 {
+		if x < 0 {
+			return -x
+		}
+		return x
+	}
+	var order []int
+	for len(remaining) > 0 {
+		best := 0
+		bestDist := abs(reqs[remaining[0]].Offset - head)
+		for i := 1; i < len(remaining); i++ {
+			if dist := abs(reqs[remaining[i]].Offset - head); dist < bestDist {
+				best, bestDist = i, dist
+			}
+		}
+		idx := remaining[best]
+		order = append(order, idx)
+		head = reqs[idx].Offset + reqs[idx].Length
+		remaining = append(remaining[:best], remaining[best+1:]...)
+	}
+	return order
+}
+
+// TestSSTFOrderMatchesScan checks the sorted, union-find SSTF order
+// against the per-pick scan on seeded batches built to tie: offsets
+// drawn from a few slots (duplicates, and equal distances on both sides
+// of the head), lengths that land the head on, inside or past other
+// requests, and zero lengths.
+func TestSSTFOrderMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(40)
+		slots := 1 + rng.Intn(2*n)
+		reqs := make([]Request, n)
+		for i := range reqs {
+			reqs[i] = Request{Offset: int64(rng.Intn(slots)) * 4096, Length: int64(rng.Intn(4)) * 2048}
+		}
+		head := int64(rng.Intn(slots+2)-1) * 2048
+		got := ScheduleOrder(head, reqs, SSTF)
+		if want := refSSTFOrder(head, reqs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, head %d, %v:\norder %v\nscan  %v", trial, head, reqs, got, want)
+		}
 	}
 }
 

@@ -46,6 +46,16 @@
 // breaks are total orders, so the chosen sequence is identical across
 // runs regardless of wall-clock interleaving.
 //
+// The pending set is a binary min-heap in FCFS order: the earliest
+// arrival that fixes S is the heap top in O(1), and FCFS serves that
+// top. Under SSTF and SCAN, once the gate opens, every entry the
+// decision time has reached moves off the heap into the arrived set,
+// kept sorted by (offset, FCFS order). S never moves backwards, so an
+// arrived entry stays in the serving set until it is served, and each
+// pick is two binary searches for the nearest offsets on either side
+// of the head. A dispatch therefore costs O(log n) in the queue's
+// depth under every policy, however far the lanes have run ahead.
+//
 // # Asynchronous submissions
 //
 // Requests issued while the caller holds a cache shard lock (eviction
@@ -61,7 +71,11 @@
 package sharedq
 
 import (
+	"cmp"
+	"container/heap"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -104,12 +118,15 @@ type Queue struct {
 	dev    Device
 	policy simdisk.SchedPolicy
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// lanes is the registered, unreleased lane set — the gate domain.
 	lanes map[*Lane]struct{}
-	// pending holds submitted, not-yet-served entries across all lanes.
-	pending []*entry
+	// pending holds submitted entries across all lanes that no decision
+	// time has reached yet, heap-ordered by arrivalLess.
+	pending pendingHeap
+	// arrived holds, under SSTF and SCAN, the unserved entries a decision
+	// time has reached, sorted by seekCmp.
+	arrived []*entry
 	// busy is the completion horizon of dispatched work: the simulated
 	// instant the device frees up (max over completions for arrays).
 	busy time.Time
@@ -142,6 +159,10 @@ type Lane struct {
 	// a lane cannot submit more, so it never gates dispatch.
 	syncPending int
 	parked      bool
+	// served carries one token per blocking submission, sent when the
+	// queue serves it: the submitter waits on it outside the queue lock,
+	// and no other lane is woken.
+	served chan struct{}
 }
 
 // opKind selects how an entry hits the device when dispatched.
@@ -167,7 +188,6 @@ type entry struct {
 	policy simdisk.SchedPolicy // opBatch: the submitter's sweep policy
 
 	sync    bool
-	served  bool
 	done    time.Time
 	service time.Duration
 	results []simdisk.BatchResult // opBatch
@@ -199,7 +219,6 @@ func New(dev Device, policy simdisk.SchedPolicy) (*Queue, error) {
 		lanes:  make(map[*Lane]struct{}),
 		scanUp: true,
 	}
-	q.cond = sync.NewCond(&q.mu)
 	return q, nil
 }
 
@@ -240,6 +259,7 @@ func (q *Queue) NewLane(start time.Time) *Lane {
 		id:          q.nextID,
 		horizon:     clock.MaxTime(start, q.edge),
 		lastArrival: clock.MaxTime(start, q.edge),
+		served:      make(chan struct{}, 1),
 	}
 	q.nextID++
 	q.lanes[l] = struct{}{}
@@ -302,10 +322,8 @@ func (l *Lane) Access(now time.Time, req simdisk.Request) (time.Time, time.Durat
 	e.kind = opReq
 	e.req = req
 	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
 	q.mu.Unlock()
+	<-l.served
 	return e.done, e.service
 }
 
@@ -327,10 +345,8 @@ func (l *Lane) AccessRun(now time.Time, r simdisk.Run) (time.Time, time.Duration
 	e.kind = opRun
 	e.run = r
 	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
 	q.mu.Unlock()
+	<-l.served
 	return e.done, e.service
 }
 
@@ -356,10 +372,8 @@ func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.
 	e.reqs = append([]simdisk.Request(nil), reqs...)
 	e.policy = policy
 	q.dispatchLocked()
-	for !e.served {
-		q.cond.Wait()
-	}
 	q.mu.Unlock()
+	<-l.served
 	return e.results, e.done
 }
 
@@ -414,7 +428,7 @@ func (l *Lane) clampLocked(now time.Time) time.Time {
 // is pending — the inline fast path that makes a single-lane shared
 // queue bit-identical to a private device.
 func (q *Queue) soleLocked(l *Lane) bool {
-	if len(q.pending) != 0 || len(q.lanes) != 1 {
+	if q.depth() != 0 || len(q.lanes) != 1 {
 		return false
 	}
 	_, ok := q.lanes[l]
@@ -446,43 +460,43 @@ func (q *Queue) enqueueLocked(l *Lane, now time.Time, syn bool) *entry {
 	if syn {
 		l.syncPending++
 	}
-	q.pending = append(q.pending, e)
-	if len(q.pending) > q.stats.MaxPending {
-		q.stats.MaxPending = len(q.pending)
+	heap.Push(&q.pending, e)
+	if n := q.depth(); n > q.stats.MaxPending {
+		q.stats.MaxPending = n
 	}
 	return e
 }
 
-// dispatchLocked serves every entry that is safe to serve, then wakes
-// blocked submitters if anything completed. Called after every state
+// depth is the number of submitted, unserved entries.
+func (q *Queue) depth() int { return len(q.pending) + len(q.arrived) }
+
+// dispatchLocked serves every entry that is safe to serve; serveLocked
+// wakes each blocked submitter it completes. Called after every state
 // change (submit, advance, park, release) — the gate only ever opens on
 // one of those.
 func (q *Queue) dispatchLocked() {
-	served := false
 	for {
 		e := q.selectLocked()
 		if e == nil {
-			break
+			return
 		}
 		q.serveLocked(e)
-		served = true
-	}
-	if served {
-		q.cond.Broadcast()
 	}
 }
 
-// selectLocked picks the next entry to serve, or nil when none is safe:
-// the conservative gate plus the policy choice.
+// selectLocked removes and returns the next entry to serve, or returns
+// nil when none is safe: the conservative gate plus the policy choice.
 func (q *Queue) selectLocked() *entry {
-	if len(q.pending) == 0 {
+	if q.depth() == 0 {
 		return nil
 	}
-	earliest := q.pending[0].arrival
-	for _, e := range q.pending[1:] {
-		earliest = clock.MinTime(earliest, e.arrival)
+	// S = max(busy, earliest unserved arrival). An arrived entry was
+	// reached by an earlier decision time, and the dispatch made then
+	// pushed busy at least that far, so while one waits S is busy.
+	s := q.busy
+	if len(q.arrived) == 0 {
+		s = clock.MaxTime(s, q.pending[0].arrival)
 	}
-	s := clock.MaxTime(q.busy, earliest)
 	// The gate: every lane that could still submit must be provably past
 	// the decision time, else a not-yet-visible earlier request could
 	// exist and the serving set is not complete.
@@ -494,67 +508,76 @@ func (q *Queue) selectLocked() *entry {
 			return nil
 		}
 	}
-	return q.pickLocked(s)
+	if q.policy == simdisk.FCFS {
+		// The FCFS order's minimum is the heap top, arrived by s since s
+		// is at least its arrival.
+		return heap.Pop(&q.pending).(*entry)
+	}
+	for len(q.pending) > 0 && !q.pending[0].arrival.After(s) {
+		e := heap.Pop(&q.pending).(*entry)
+		i, _ := slices.BinarySearchFunc(q.arrived, e, seekCmp)
+		q.arrived = slices.Insert(q.arrived, i, e)
+	}
+	return q.pickLocked()
 }
 
-// pickLocked chooses among entries arrived by s under the queue policy.
-// Every comparison bottoms out in (arrival, lane id, sequence) — a
-// total order — so the choice is deterministic whatever the wall-clock
-// submission interleaving was.
-func (q *Queue) pickLocked(s time.Time) *entry {
-	var best *entry
+// pickLocked removes and returns the arrived entry SSTF or SCAN serves
+// next. Both want the nearest offset on one side of the head or the
+// other: up is the first arrived entry at or past the head, down the
+// first arrived entry at the nearest offset below it. Entries at one offset
+// sit in FCFS order, and a seek tie between the sides falls back to it
+// too, so every choice bottoms out in (arrival, lane id, sequence) — a
+// total order — and is the same whatever the wall-clock submission
+// interleaving was.
+func (q *Queue) pickLocked() *entry {
 	head := q.dev.Head()
-	better := func(e, b *entry) bool {
-		switch q.policy {
-		case simdisk.SSTF:
-			de, db := absDist(e.offset(), head), absDist(b.offset(), head)
-			if de != db {
-				return de < db
-			}
-		case simdisk.SCAN:
-			eUp, bUp := e.offset() >= head, b.offset() >= head
-			if q.scanUp {
-				if eUp != bUp {
-					return eUp // sweep up before turning around
-				}
-				if e.offset() != b.offset() {
-					if eUp {
-						return e.offset() < b.offset()
-					}
-					return e.offset() > b.offset()
-				}
-			} else {
-				down := func(off int64) bool { return off <= head }
-				if down(e.offset()) != down(b.offset()) {
-					return down(e.offset())
-				}
-				if e.offset() != b.offset() {
-					if down(e.offset()) {
-						return e.offset() > b.offset()
-					}
-					return e.offset() < b.offset()
-				}
-			}
-		}
-		return arrivalLess(e, b)
+	up := q.firstAtOrPast(head)
+	down := -1
+	if up > 0 {
+		down = q.firstAtOrPast(q.arrived[up-1].offset())
 	}
-	for _, e := range q.pending {
-		if e.arrival.After(s) {
-			continue
+	i := up
+	switch {
+	case up == len(q.arrived):
+		i = down
+	case down < 0:
+	case q.policy == simdisk.SSTF:
+		du, dd := q.arrived[up].offset()-head, head-q.arrived[down].offset()
+		if dd < du || dd == du && arrivalLess(q.arrived[down], q.arrived[up]) {
+			i = down
 		}
-		if best == nil || better(e, best) {
-			best = e
-		}
+	case !q.scanUp && q.arrived[up].offset() != head:
+		// SCAN sweeping down serves the head's own offset, then below it.
+		i = down
 	}
-	if best != nil && q.policy == simdisk.SCAN {
+	e := q.arrived[i]
+	q.arrived = slices.Delete(q.arrived, i, i+1)
+	if q.policy == simdisk.SCAN {
 		// Persist the elevator direction the chosen dispatch implies.
-		if best.offset() > head {
+		if e.offset() > head {
 			q.scanUp = true
-		} else if best.offset() < head {
+		} else if e.offset() < head {
 			q.scanUp = false
 		}
 	}
-	return best
+	return e
+}
+
+// firstAtOrPast returns the index of the first arrived entry whose
+// offset is at least off, or len(q.arrived) if there is none.
+func (q *Queue) firstAtOrPast(off int64) int {
+	return sort.Search(len(q.arrived), func(i int) bool { return q.arrived[i].offset() >= off })
+}
+
+// seekCmp is the arrived set's order: leading offset, then arrivalLess.
+func seekCmp(e, b *entry) int {
+	if eo, bo := e.offset(), b.offset(); eo != bo {
+		return cmp.Compare(eo, bo)
+	}
+	if arrivalLess(e, b) {
+		return -1
+	}
+	return 1
 }
 
 // arrivalLess is the FCFS total order: arrival, then lane id, then the
@@ -569,23 +592,26 @@ func arrivalLess(e, b *entry) bool {
 	return e.seq < b.seq
 }
 
-func absDist(a, b int64) int64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
+// pendingHeap is the pending set as a container/heap in arrivalLess
+// order.
+type pendingHeap []*entry
+
+func (h pendingHeap) Len() int           { return len(h) }
+func (h pendingHeap) Less(i, j int) bool { return arrivalLess(h[i], h[j]) }
+func (h pendingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *pendingHeap) Push(x any)        { *h = append(*h, x.(*entry)) }
+func (h *pendingHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
-// serveLocked removes e from the pending set and services it on the
+// serveLocked services e, already taken off the pending set, on the
 // device at its arrival time; the device's busy horizon converts
 // contention into queueing delay.
 func (q *Queue) serveLocked(e *entry) {
-	for i, p := range q.pending {
-		if p == e {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			break
-		}
-	}
 	switch e.kind {
 	case opRun:
 		e.done, e.service = q.dev.AccessRun(e.arrival, e.run)
@@ -600,9 +626,9 @@ func (q *Queue) serveLocked(e *entry) {
 	default:
 		e.done, e.service = q.dev.Access(e.arrival, e.req)
 	}
-	e.served = true
 	if e.sync {
 		e.lane.syncPending--
+		e.lane.served <- struct{}{}
 	}
 	q.busy = clock.MaxTime(q.busy, e.done)
 	q.edge = clock.MaxTime(q.edge, e.arrival)

@@ -185,6 +185,35 @@ func TestSSTFPicksNearestHead(t *testing.T) {
 // TestSCANSweepsThenReverses pins the elevator: ascending entries are
 // served in offset order while sweeping up; after turnaround the sweep
 // serves descending offsets.
+// TestSSTFSeekTieFallsBackToArrivalOrder puts two entries the same
+// distance from the head, one on each side, and checks the FCFS order
+// decides between them whichever side the earlier one sits on.
+func TestSSTFSeekTieFallsBackToArrivalOrder(t *testing.T) {
+	const mb = 1 << 20
+	for _, side := range []int64{-1, 1} {
+		q, rec := newRecorded(t, simdisk.SSTF)
+		a := q.NewLane(t0)
+		// Served inline while a is the only lane: the head ends at 100 MB.
+		a.Access(t0, simdisk.Request{Offset: 100*mb - 4096, Length: 4096})
+		b := q.NewLane(t0)
+		now := t0.Add(time.Second)
+		// Same arrival, so lane a's entry is the earlier in FCFS order.
+		a.AccessAsync(now, simdisk.Request{Offset: 100*mb + side*10*mb, Length: 4096})
+		b.AccessAsync(now, simdisk.Request{Offset: 100*mb - side*10*mb, Length: 4096})
+		a.Park()
+		b.Park()
+		want := []int64{100*mb - 4096, 100*mb + side*10*mb, 100*mb - side*10*mb}
+		if len(rec.offsets) != len(want) {
+			t.Fatalf("side %d: SSTF order %v, want %v", side, rec.offsets, want)
+		}
+		for i, off := range want {
+			if rec.offsets[i] != off {
+				t.Fatalf("side %d: SSTF order %v, want %v", side, rec.offsets, want)
+			}
+		}
+	}
+}
+
 func TestSCANSweepsThenReverses(t *testing.T) {
 	q, rec := newRecorded(t, simdisk.SCAN)
 	a := q.NewLane(t0)
