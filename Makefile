@@ -40,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceV2$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDump$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultPlanParse$$' -fuzztime 10s ./internal/simdisk
+	$(GO) test -run '^$$' -fuzz '^FuzzElevator$$' -fuzztime 10s ./internal/simdisk
 	$(GO) test -run '^$$' -fuzz '^FuzzNetFaultPlanParse$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 10s ./internal/webserver
 	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 10s ./internal/buffercache

@@ -181,20 +181,7 @@ func (a *Array) AccessRun(now time.Time, r Run) (done time.Time, elapsed time.Du
 // returns per-request results in submission order plus the batch
 // completion time.
 func (a *Array) ServeBatch(now time.Time, reqs []Request, policy SchedPolicy) ([]BatchResult, time.Time) {
-	if len(reqs) == 0 {
-		return nil, now
-	}
-	order := ScheduleOrder(a.Head(), reqs, policy)
-	results := make([]BatchResult, len(reqs))
-	end := now
-	for _, idx := range order {
-		done, svc := a.Access(now, reqs[idx])
-		results[idx] = BatchResult{Index: idx, Done: done, Service: svc}
-		if done.After(end) {
-			end = done
-		}
-	}
-	return results, end
+	return serveInOrder(now, reqs, scheduleOrder(a.Head(), reqs, policy), a.Access)
 }
 
 // accessStriped is the RAID-0 path: the request is split at stripe

@@ -61,6 +61,18 @@ func BenchmarkScheduleOrderSSTF(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScheduleOrder(0, reqs, SSTF)
+		scheduleOrder(0, reqs, SSTF)
+	}
+}
+
+// BenchmarkScheduleOrderSCAN is BenchmarkScheduleOrderSSTF under SCAN.
+func BenchmarkScheduleOrderSCAN(b *testing.B) {
+	reqs := scatteredBatch(MustNew(DefaultParams()), 2048)
+	for i := range reqs {
+		reqs[i].Length = 4096
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scheduleOrder(0, reqs, SCAN)
 	}
 }

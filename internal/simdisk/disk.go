@@ -18,15 +18,14 @@ import (
 )
 
 // Params describes one disk. The defaults (DefaultParams) approximate a
-// 7200 rpm desktop drive of the paper's vintage: ~8.5 ms average seek,
+// 7200 rpm desktop drive of the paper's vintage: 0.8 ms track-to-track
+// and 17 ms full-stroke seeks (9.44 ms mean over random offset pairs),
 // ~4.17 ms average rotational latency, ~40 MB/s media rate.
 type Params struct {
 	// Capacity is the addressable size in bytes.
 	Capacity int64
 	// TrackToTrackSeek is the minimum (adjacent-track) seek time.
 	TrackToTrackSeek time.Duration
-	// AvgSeek is the average seek time across a third of the stroke.
-	AvgSeek time.Duration
 	// FullStrokeSeek is the maximum (end-to-end) seek time.
 	FullStrokeSeek time.Duration
 	// RPM is the spindle speed in revolutions per minute.
@@ -46,7 +45,6 @@ func DefaultParams() Params {
 	return Params{
 		Capacity:           80 << 30, // 80 GB
 		TrackToTrackSeek:   800 * time.Microsecond,
-		AvgSeek:            8500 * time.Microsecond,
 		FullStrokeSeek:     17 * time.Millisecond,
 		RPM:                7200,
 		TransferRate:       40 << 20, // 40 MB/s
@@ -66,7 +64,6 @@ func MemoryBackedParams() Params {
 	return Params{
 		Capacity:           8 << 30,
 		TrackToTrackSeek:   time.Microsecond,
-		AvgSeek:            3 * time.Microsecond,
 		FullStrokeSeek:     6 * time.Microsecond,
 		RPM:                6_000_000, // 10 µs "rotation": ordering cost only
 		TransferRate:       500 << 20,
@@ -86,12 +83,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("simdisk: transfer rate %v must be positive", p.TransferRate)
 	case p.TrackSize <= 0:
 		return fmt.Errorf("simdisk: track size %d must be positive", p.TrackSize)
-	case p.TrackToTrackSeek < 0 || p.AvgSeek < 0 || p.FullStrokeSeek < 0:
+	case p.TrackToTrackSeek < 0:
 		return fmt.Errorf("simdisk: seek times must be non-negative")
-	case p.AvgSeek < p.TrackToTrackSeek:
-		return fmt.Errorf("simdisk: avg seek %v < track-to-track %v", p.AvgSeek, p.TrackToTrackSeek)
-	case p.FullStrokeSeek < p.AvgSeek:
-		return fmt.Errorf("simdisk: full stroke %v < avg seek %v", p.FullStrokeSeek, p.AvgSeek)
+	case p.FullStrokeSeek < p.TrackToTrackSeek:
+		return fmt.Errorf("simdisk: full stroke %v < track-to-track %v", p.FullStrokeSeek, p.TrackToTrackSeek)
 	}
 	return nil
 }
@@ -218,7 +213,8 @@ func (d *Disk) Stats() Stats {
 // seekTime maps a head travel distance (bytes) to a seek duration by
 // linear interpolation between track-to-track and full-stroke over the
 // square root of the normalized distance — the standard concave seek
-// curve.
+// curve. Over uniformly random offset pairs the normalized distance has
+// density 2(1-x), so the mean seek is t2t + (8/15)(full - t2t).
 func (d *Disk) seekTime(distance int64) time.Duration {
 	if distance == 0 {
 		return 0
@@ -230,7 +226,7 @@ func (d *Disk) seekTime(distance int64) time.Duration {
 	if frac > 1 {
 		frac = 1
 	}
-	// sqrt gives the concave shape; calibrated so frac=1/3 ≈ avg seek.
+	// sqrt gives the concave shape.
 	return d.params.TrackToTrackSeek + time.Duration(d.seekSpan*math.Sqrt(frac))
 }
 

@@ -1,10 +1,8 @@
 package simdisk
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 )
@@ -70,32 +68,39 @@ type BatchResult struct {
 	Service time.Duration
 }
 
-// ScheduleOrder computes the service order for a batch of pending
-// requests under policy, given the head position the service run starts
-// from. It is shared by Disk.ServeBatch, Array.ServeBatch, and any
-// caller building its own elevator queue.
-func ScheduleOrder(head int64, reqs []Request, policy SchedPolicy) []int {
+// scheduleOrder is the order ServeBatch serves a batch in under policy,
+// from the head position the service run starts at. FCFS keeps
+// submission order. SSTF and SCAN run an Elevator as if every request
+// had arrived at once, in submission order, and move the head to each
+// served request's end.
+func scheduleOrder(head int64, reqs []Request, policy SchedPolicy) []int {
 	order := make([]int, len(reqs))
-	for i := range order {
-		order[i] = i
-	}
-	switch policy {
-	case FCFS:
-		// Arrival order as given.
-	case SSTF:
-		order = sstfOrder(head, reqs, order)
-	case SCAN:
-		var up, down []int
-		for _, idx := range order {
-			if reqs[idx].Offset >= head {
-				up = append(up, idx)
-			} else {
-				down = append(down, idx)
-			}
+	if policy == FCFS {
+		for i := range order {
+			order[i] = i
 		}
-		sort.Slice(up, func(i, j int) bool { return reqs[up[i]].Offset < reqs[up[j]].Offset })
-		sort.Slice(down, func(i, j int) bool { return reqs[down[i]].Offset > reqs[down[j]].Offset })
-		order = append(up, down...)
+		return order
+	}
+	type pending struct {
+		off int64
+		idx int
+	}
+	byOff := make([]pending, len(reqs))
+	for i, r := range reqs {
+		byOff[i] = pending{r.Offset, i}
+	}
+	slices.SortFunc(byOff, func(a, b pending) int {
+		if a.off < b.off || a.off == b.off && a.idx < b.idx {
+			return -1
+		}
+		return 1
+	})
+	el := NewElevator(policy, func(p pending) int64 { return p.off }, func(a, b pending) bool { return a.idx < b.idx })
+	el.fill(byOff)
+	for k := range order {
+		p := el.Pick(head)
+		order[k] = p.idx
+		head = p.off + reqs[p.idx].Length
 	}
 	return order
 }
@@ -107,87 +112,27 @@ func ScheduleOrder(head int64, reqs []Request, policy SchedPolicy) []int {
 // Access call would, so the results are bit-identical. It returns
 // per-request results in submission order plus the batch completion time.
 func (d *Disk) ServeBatch(now time.Time, reqs []Request, policy SchedPolicy) ([]BatchResult, time.Time) {
+	order := scheduleOrder(d.Head(), reqs, policy)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return serveInOrder(now, reqs, order, d.accessLocked)
+}
+
+// serveInOrder is Disk's and Array's ServeBatch loop: it issues reqs at
+// now through access in order and returns the per-request results in
+// submission order plus the batch completion time.
+func serveInOrder(now time.Time, reqs []Request, order []int, access func(time.Time, Request) (time.Time, time.Duration)) ([]BatchResult, time.Time) {
 	if len(reqs) == 0 {
 		return nil, now
 	}
-	order := ScheduleOrder(d.Head(), reqs, policy)
 	results := make([]BatchResult, len(reqs))
 	end := now
-	d.mu.Lock()
 	for _, idx := range order {
-		done, svc := d.accessLocked(now, reqs[idx])
+		done, svc := access(now, reqs[idx])
 		results[idx] = BatchResult{Index: idx, Done: done, Service: svc}
 		if done.After(end) {
 			end = done
 		}
 	}
-	d.mu.Unlock()
 	return results, end
-}
-
-// sstfOrder is the greedy nearest-first simulation of head movement:
-// from head, serve the unserved request whose offset is nearest (the
-// lowest index among equally near ones), move the head to that
-// request's end, repeat. byOff (the identity permutation on entry)
-// is sorted by (offset, index), so the nearest unserved request on
-// either side of the head is one binary search plus a skip over served
-// positions away. The skips are union-find links with path halving,
-// so the whole order costs O(n log n), not a scan of the remainder per
-// pick.
-func sstfOrder(head int64, reqs []Request, byOff []int) []int {
-	n := len(reqs)
-	slices.SortFunc(byOff, func(a, b int) int {
-		if c := cmp.Compare(reqs[a].Offset, reqs[b].Offset); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	offs := make([]int64, n)
-	for p, idx := range byOff {
-		offs[p] = reqs[idx].Offset
-	}
-	firstAtOrPast := func(o int64) int {
-		p, _ := slices.BinarySearch(offs, o)
-		return p
-	}
-	// From p, next leads to the first unserved position >= p (n: none).
-	// From p+1, prev leads to one past the last unserved position <= p
-	// (0: none).
-	next := make([]int, n+1)
-	prev := make([]int, n+1)
-	for p := range next {
-		next[p], prev[p] = p, p
-	}
-	find := func(link []int, k int) int {
-		for link[k] != k {
-			link[k] = link[link[k]]
-			k = link[k]
-		}
-		return k
-	}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		split := firstAtOrPast(head)
-		up, down := find(next, split), find(prev, split)-1
-		if down >= 0 {
-			// The lowest index at that offset is its first unserved position.
-			down = find(next, firstAtOrPast(offs[down]))
-		}
-		pick := up
-		switch {
-		case down < 0:
-		case up == n:
-			pick = down
-		default:
-			du, dd := offs[up]-head, head-offs[down]
-			if dd < du || dd == du && byOff[down] < byOff[up] {
-				pick = down
-			}
-		}
-		next[pick], prev[pick+1] = pick+1, pick
-		idx := byOff[pick]
-		order = append(order, idx)
-		head = reqs[idx].Offset + reqs[idx].Length
-	}
-	return order
 }

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -79,7 +80,7 @@ func TestSeekOptimizingPoliciesBeatFCFS(t *testing.T) {
 func TestSCANSweepsMonotonically(t *testing.T) {
 	d := MustNew(testParams())
 	reqs := scatteredBatch(d, 12)
-	order := ScheduleOrder(d.Head(), reqs, SCAN)
+	order := scheduleOrder(d.Head(), reqs, SCAN)
 	// Offsets must rise (up sweep) then fall (down sweep): exactly one
 	// direction change.
 	changes := 0
@@ -146,7 +147,7 @@ func refSSTFOrder(head int64, reqs []Request) []int {
 	return order
 }
 
-// TestSSTFOrderMatchesScan checks the sorted, union-find SSTF order
+// TestSSTFOrderMatchesScan checks the elevator's SSTF batch order
 // against the per-pick scan on seeded batches built to tie: offsets
 // drawn from a few slots (duplicates, and equal distances on both sides
 // of the head), lengths that land the head on, inside or past other
@@ -161,10 +162,78 @@ func TestSSTFOrderMatchesScan(t *testing.T) {
 			reqs[i] = Request{Offset: int64(rng.Intn(slots)) * 4096, Length: int64(rng.Intn(4)) * 2048}
 		}
 		head := int64(rng.Intn(slots+2)-1) * 2048
-		got := ScheduleOrder(head, reqs, SSTF)
+		got := scheduleOrder(head, reqs, SSTF)
 		if want := refSSTFOrder(head, reqs); !slices.Equal(got, want) {
 			t.Fatalf("trial %d, head %d, %v:\norder %v\nscan  %v", trial, head, reqs, got, want)
 		}
+	}
+}
+
+// refSCANOrder is the batch SCAN order before the batch and online
+// schedulers shared one elevator: every request at or past the start
+// head in ascending offset order, then the rest in descending order.
+// The head's movement through the batch plays no part.
+func refSCANOrder(head int64, reqs []Request) []int {
+	var up, down []int
+	for idx := range reqs {
+		if reqs[idx].Offset >= head {
+			up = append(up, idx)
+		} else {
+			down = append(down, idx)
+		}
+	}
+	sort.Slice(up, func(i, j int) bool { return reqs[up[i]].Offset < reqs[up[j]].Offset })
+	sort.Slice(down, func(i, j int) bool { return reqs[down[i]].Offset > reqs[down[j]].Offset })
+	return append(up, down...)
+}
+
+// TestSCANOrderMatchesTwoSortOnDisjointBatches checks the elevator's
+// SCAN batch order against the two-sort reference on batches whose
+// requests do not overlap: random spans with random heads, and the
+// page-aligned write-back shape (distinct whole pages) the buffer cache
+// flushes. On those the two rules agree.
+func TestSCANOrderMatchesTwoSortOnDisjointBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 10000; trial++ {
+		n := 1 + rng.Intn(40)
+		const stride = 4 * 4096
+		reqs := make([]Request, n)
+		var head int64
+		if trial%2 == 0 {
+			// Write-back shape: distinct pages, the head on a page boundary.
+			for i, page := range rng.Perm(4 * n)[:n] {
+				reqs[i] = Request{Offset: int64(page) * 4096, Length: 4096, Write: true}
+			}
+			head = int64(rng.Intn(4*n+1)) * 4096
+		} else {
+			// Distinct slots, each span inside its own slot (zero lengths
+			// included), heads anywhere, inside spans too.
+			for i, slot := range rng.Perm(2 * n)[:n] {
+				reqs[i] = Request{Offset: int64(slot)*stride + rng.Int63n(stride/2), Length: rng.Int63n(stride / 2)}
+			}
+			head = rng.Int63n(int64(2*n+1) * stride)
+		}
+		got := scheduleOrder(head, reqs, SCAN)
+		if want := refSCANOrder(head, reqs); !slices.Equal(got, want) {
+			t.Fatalf("trial %d, head %d, %v:\nelevator %v\ntwo-sort %v", trial, head, reqs, got, want)
+		}
+	}
+}
+
+// TestSCANOrderOnOverlappingBatch pins where the two SCAN rules part:
+// a request the head passes over on its way up. The surviving rule is
+// the online one the shared queue applies: after serving [0, 8192) the
+// head stands at 8192, so the sweep carries on up to 10000 and serves
+// 4096 on the way back. The two-sort rule served 4096 second because it
+// lies past the start head. No caller builds such a batch: write-back
+// flushes send distinct whole pages.
+func TestSCANOrderOnOverlappingBatch(t *testing.T) {
+	reqs := []Request{{Offset: 0, Length: 8192}, {Offset: 4096}, {Offset: 10000}}
+	if got, want := scheduleOrder(0, reqs, SCAN), []int{0, 2, 1}; !slices.Equal(got, want) {
+		t.Fatalf("SCAN order %v, want %v", got, want)
+	}
+	if got, want := refSCANOrder(0, reqs), []int{0, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("two-sort order %v, want %v", got, want)
 	}
 }
 

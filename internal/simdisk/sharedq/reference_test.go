@@ -13,17 +13,18 @@ import (
 )
 
 // The reference dispatcher: the queue's selection as it was before the
-// pending set became a heap and an offset-sorted arrived set. It finds
-// the earliest arrival by scanning every pending entry and picks every
-// policy, FCFS included, by a linear scan. It shares the rest of the
-// queue's bookkeeping (enqueue, the lanes' gate state, serveLocked's
-// device call and stats), so a difference between the two runs can only
-// come from how the queue chooses. Nothing ever reaches q.arrived here:
-// q.pending serves the reference as a plain slice.
+// pending set became a heap feeding a simdisk.Elevator. It finds the
+// earliest arrival by scanning every pending entry and picks every
+// policy, FCFS included, by a linear scan, keeping its own SCAN
+// direction. It shares the rest of the queue's bookkeeping (admission,
+// the lanes' gate state, serveLocked's device call and stats), so a
+// difference between the two runs can only come from how the queue
+// chooses. Nothing ever reaches q.arrived here: q.pending serves the
+// reference as a plain slice.
 
-func refDispatchLocked(q *Queue) {
+func (p *refPort) dispatchLocked(q *Queue) {
 	for {
-		e := refSelectLocked(q)
+		e := p.selectLocked(q)
 		if e == nil {
 			return
 		}
@@ -31,7 +32,7 @@ func refDispatchLocked(q *Queue) {
 	}
 }
 
-func refSelectLocked(q *Queue) *entry {
+func (p *refPort) selectLocked(q *Queue) *entry {
 	if len(q.pending) == 0 {
 		return nil
 	}
@@ -48,10 +49,10 @@ func refSelectLocked(q *Queue) *entry {
 			return nil
 		}
 	}
-	return refPickLocked(q, s)
+	return p.pickLocked(q, s)
 }
 
-func refPickLocked(q *Queue, s time.Time) *entry {
+func (p *refPort) pickLocked(q *Queue, s time.Time) *entry {
 	var best *entry
 	head := q.dev.Head()
 	better := func(e, b *entry) bool {
@@ -63,7 +64,7 @@ func refPickLocked(q *Queue, s time.Time) *entry {
 			}
 		case simdisk.SCAN:
 			eUp, bUp := e.offset() >= head, b.offset() >= head
-			if q.scanUp {
+			if p.scanUp {
 				if eUp != bUp {
 					return eUp
 				}
@@ -99,9 +100,9 @@ func refPickLocked(q *Queue, s time.Time) *entry {
 	}
 	if best != nil && q.policy == simdisk.SCAN {
 		if best.offset() > head {
-			q.scanUp = true
+			p.scanUp = true
 		} else if best.offset() < head {
-			q.scanUp = false
+			p.scanUp = false
 		}
 	}
 	if best != nil {
@@ -202,34 +203,22 @@ func (p *queuePort) ready(l *Lane) {
 // refPort replays the public API's state changes under the reference
 // dispatcher. Nothing blocks: a blocking submission just leaves its lane
 // with syncPending set until the reference serves it.
-type refPort struct{}
+type refPort struct {
+	// scanUp is the reference's SCAN direction.
+	scanUp bool
+}
 
-func (refPort) submit(l *Lane, s submission) {
+func (p *refPort) submit(l *Lane, s submission) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	now := l.clampLocked(s.now)
-	if q.soleLocked(l) {
-		var done time.Time
-		switch s.kind {
-		case opRun:
-			done, _ = q.dev.AccessRun(now, s.run)
-		case opBatch:
-			_, done = q.dev.ServeBatch(now, s.reqs, s.policy)
-			q.stats.Batches++
-		default:
-			done, _ = q.dev.Access(now, s.req)
-		}
-		q.noteInlineLocked(l, now, done, s.sync)
-		return
+	e := &entry{kind: s.kind, sync: s.sync, req: s.req, run: s.run, reqs: s.reqs, policy: s.policy}
+	if l.admitLocked(s.now, e) {
+		p.dispatchLocked(q)
 	}
-	e := q.enqueueLocked(l, now, s.sync)
-	e.kind, e.req, e.run, e.policy = s.kind, s.req, s.run, s.policy
-	e.reqs = append([]simdisk.Request(nil), s.reqs...)
-	refDispatchLocked(q)
 }
 
-func (refPort) advance(l *Lane, now time.Time) {
+func (p *refPort) advance(l *Lane, now time.Time) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -237,29 +226,29 @@ func (refPort) advance(l *Lane, now time.Time) {
 	if now.After(l.horizon) {
 		l.horizon = now
 	}
-	refDispatchLocked(q)
+	p.dispatchLocked(q)
 }
 
-func (refPort) park(l *Lane) {
+func (p *refPort) park(l *Lane) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l.parked = true
-	refDispatchLocked(q)
+	p.dispatchLocked(q)
 }
 
-func (refPort) release(l *Lane) {
+func (p *refPort) release(l *Lane) {
 	q := l.q
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	delete(q.lanes, l)
 	l.parked = true
-	refDispatchLocked(q)
+	p.dispatchLocked(q)
 }
 
 // ready takes the token serveLocked left for a served blocking
 // submission, as the blocked submitter would have.
-func (refPort) ready(l *Lane) {
+func (p *refPort) ready(l *Lane) {
 	select {
 	case <-l.served:
 	default:
@@ -312,9 +301,9 @@ func (d *dispatchLog) ServeBatch(now time.Time, reqs []simdisk.Request, policy s
 func (d *dispatchLog) Head() int64 { return d.dev.Head() }
 
 // checkHeap fails unless q.pending is a min-heap in arrivalLess order
-// and q.arrived is sorted by seekCmp, holds nothing under FCFS, and
-// holds only entries that arrived by the busy horizon — the invariant
-// that lets selectLocked take S = busy while any of them waits.
+// and the elevator's entries are sorted by (offset, arrivalLess) and
+// arrived by the busy horizon — the invariant that lets selectLocked
+// take S = busy while any of them waits.
 func checkHeap(t *testing.T, q *Queue) {
 	t.Helper()
 	q.mu.Lock()
@@ -324,11 +313,12 @@ func checkHeap(t *testing.T, q *Queue) {
 			t.Fatalf("pending[%d] orders before its parent", i)
 		}
 	}
-	if q.policy == simdisk.FCFS && len(q.arrived) > 0 {
-		t.Fatalf("FCFS queue holds %d arrived entries", len(q.arrived))
+	if q.arrived == nil {
+		return
 	}
-	for i, e := range q.arrived {
-		if i > 0 && seekCmp(q.arrived[i-1], e) >= 0 {
+	arrived := q.arrived.Pending()
+	for i, e := range arrived {
+		if i > 0 && (e.offset() < arrived[i-1].offset() || e.offset() == arrived[i-1].offset() && !arrivalLess(arrived[i-1], e)) {
 			t.Fatalf("arrived[%d] orders before arrived[%d]", i, i-1)
 		}
 		if e.arrival.After(q.busy) {
@@ -449,7 +439,7 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%v/lanes=%d/seed=%d", policy, lanes, seed), func(t *testing.T) {
 					got, gotStats := driveQueue(t, &queuePort{waiting: map[*Lane]chan struct{}{}}, policy, lanes, seed)
-					want, wantStats := driveQueue(t, refPort{}, policy, lanes, seed)
+					want, wantStats := driveQueue(t, &refPort{scanUp: true}, policy, lanes, seed)
 					if len(got) != len(want) {
 						t.Fatalf("%d dispatches, reference %d", len(got), len(want))
 					}

@@ -14,7 +14,7 @@
 // # Model
 //
 // A Queue fronts one Device (a *simdisk.Disk or *simdisk.Array — the
-// existing serviceLocked/AccessRun cost model is reused unchanged).
+// existing simdisk cost model is reused unchanged).
 // Each concurrent actor holds a Lane and submits timestamped requests;
 // the queue dispatches the pending entry chosen by the configured
 // scheduling policy among those that have "arrived" by the decision
@@ -49,12 +49,12 @@
 // The pending set is a binary min-heap in FCFS order: the earliest
 // arrival that fixes S is the heap top in O(1), and FCFS serves that
 // top. Under SSTF and SCAN, once the gate opens, every entry the
-// decision time has reached moves off the heap into the arrived set,
-// kept sorted by (offset, FCFS order). S never moves backwards, so an
-// arrived entry stays in the serving set until it is served, and each
-// pick is two binary searches for the nearest offsets on either side
-// of the head. A dispatch therefore costs O(log n) in the queue's
-// depth under every policy, however far the lanes have run ahead.
+// decision time has reached moves off the heap into a simdisk.Elevator,
+// the same offset-sorted set whose picks order a ServeBatch sweep. S
+// never moves backwards, so an entry in the elevator stays in the
+// serving set until it is served. The elevator keeps its gap at the
+// head, so a dispatch costs O(log n) in the queue's depth under every
+// policy, however far the lanes have run ahead.
 //
 // # Asynchronous submissions
 //
@@ -71,11 +71,8 @@
 package sharedq
 
 import (
-	"cmp"
 	"container/heap"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -125,17 +122,15 @@ type Queue struct {
 	// time has reached yet, heap-ordered by arrivalLess.
 	pending pendingHeap
 	// arrived holds, under SSTF and SCAN, the unserved entries a decision
-	// time has reached, sorted by seekCmp.
-	arrived []*entry
+	// time has reached; the policy picks from it. Nil under FCFS.
+	arrived *simdisk.Elevator[*entry]
 	// busy is the completion horizon of dispatched work: the simulated
 	// instant the device frees up (max over completions for arrays).
 	busy time.Time
 	// edge is the latest arrival ever dispatched. Lanes joining
 	// mid-flight start at or past it, so a newcomer cannot submit into
 	// the already-served past.
-	edge time.Time
-	// scanUp is SCAN's persistent elevator direction.
-	scanUp bool
+	edge   time.Time
 	nextID int
 	stats  Stats
 }
@@ -184,7 +179,7 @@ type entry struct {
 
 	req    simdisk.Request
 	run    simdisk.Run
-	reqs   []simdisk.Request   // opBatch
+	reqs   []simdisk.Request   // opBatch: the submitter's slice, untouched while it blocks
 	policy simdisk.SchedPolicy // opBatch: the submitter's sweep policy
 
 	sync    bool
@@ -217,7 +212,9 @@ func New(dev Device, policy simdisk.SchedPolicy) (*Queue, error) {
 		dev:    dev,
 		policy: policy,
 		lanes:  make(map[*Lane]struct{}),
-		scanUp: true,
+	}
+	if policy != simdisk.FCFS {
+		q.arrived = simdisk.NewElevator(policy, (*entry).offset, arrivalLess)
 	}
 	return q, nil
 }
@@ -309,22 +306,9 @@ func (l *Lane) Release() {
 // cannot proceed until the device has served it. The returned
 // completion includes any time spent queued behind other lanes.
 func (l *Lane) Access(now time.Time, req simdisk.Request) (time.Time, time.Duration) {
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, svc := q.dev.Access(now, req)
-		q.noteInlineLocked(l, now, done, true)
-		q.mu.Unlock()
-		return done, svc
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opReq
-	e.req = req
-	q.dispatchLocked()
-	q.mu.Unlock()
-	<-l.served
-	return e.done, e.service
+	e := &entry{kind: opReq, req: req, sync: true}
+	done := l.submit(now, e)
+	return done, e.service
 }
 
 // AccessRun submits a blocking contiguous run, the cold path's bulk
@@ -332,22 +316,9 @@ func (l *Lane) Access(now time.Time, req simdisk.Request) (time.Time, time.Durat
 // other entries by its leading offset, and the device bills it through
 // AccessRun unchanged.
 func (l *Lane) AccessRun(now time.Time, r simdisk.Run) (time.Time, time.Duration) {
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, svc := q.dev.AccessRun(now, r)
-		q.noteInlineLocked(l, now, done, true)
-		q.mu.Unlock()
-		return done, svc
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opRun
-	e.run = r
-	q.dispatchLocked()
-	q.mu.Unlock()
-	<-l.served
-	return e.done, e.service
+	e := &entry{kind: opRun, run: r, sync: true}
+	done := l.submit(now, e)
+	return done, e.service
 }
 
 // ServeBatch submits a blocking sweep (a flush of many dirty pages) as
@@ -357,24 +328,9 @@ func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.
 	if len(reqs) == 0 {
 		return nil, now
 	}
-	q := l.q
-	q.mu.Lock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		res, end := q.dev.ServeBatch(now, reqs, policy)
-		q.noteInlineLocked(l, now, end, true)
-		q.stats.Batches++
-		q.mu.Unlock()
-		return res, end
-	}
-	e := q.enqueueLocked(l, now, true)
-	e.kind = opBatch
-	e.reqs = append([]simdisk.Request(nil), reqs...)
-	e.policy = policy
-	q.dispatchLocked()
-	q.mu.Unlock()
-	<-l.served
-	return e.results, e.done
+	e := &entry{kind: opBatch, reqs: reqs, policy: policy, sync: true}
+	done := l.submit(now, e)
+	return e.results, done
 }
 
 // AccessAsync submits a fire-and-forget request — an eviction
@@ -383,38 +339,57 @@ func (l *Lane) ServeBatch(now time.Time, reqs []simdisk.Request, policy simdisk.
 // and the true completion returns (preserving private-path equivalence);
 // with contention it is enqueued and the submission time stands in.
 func (l *Lane) AccessAsync(now time.Time, req simdisk.Request) time.Time {
-	q := l.q
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, _ := q.dev.Access(now, req)
-		q.noteInlineLocked(l, now, done, false)
-		return done
-	}
-	e := q.enqueueLocked(l, now, false)
-	e.kind = opReq
-	e.req = req
-	q.dispatchLocked()
-	return now
+	return l.submit(now, &entry{kind: opReq, req: req})
 }
 
 // AccessRunAsync is AccessAsync for contiguous runs.
 func (l *Lane) AccessRunAsync(now time.Time, r simdisk.Run) time.Time {
+	return l.submit(now, &entry{kind: opRun, run: r})
+}
+
+// submit is every submission's path. It returns the completion time of
+// an entry served inline or of a blocking one once served, and the
+// clamped submission time of an asynchronous entry left in the queue.
+func (l *Lane) submit(now time.Time, e *entry) time.Time {
 	q := l.q
 	q.mu.Lock()
-	defer q.mu.Unlock()
-	now = l.clampLocked(now)
-	if q.soleLocked(l) {
-		done, _ := q.dev.AccessRun(now, r)
-		q.noteInlineLocked(l, now, done, false)
-		return done
+	if !l.admitLocked(now, e) {
+		q.mu.Unlock()
+		return e.done
 	}
-	e := q.enqueueLocked(l, now, false)
-	e.kind = opRun
-	e.run = r
 	q.dispatchLocked()
-	return now
+	q.mu.Unlock()
+	if !e.sync {
+		return e.arrival
+	}
+	<-l.served
+	return e.done
+}
+
+// admitLocked stamps e as l's next submission, arriving at now clamped
+// to the lane's promises. When l is the only registered lane and nothing
+// is pending, it serves e inline and returns false — the fast path that
+// makes a single-lane shared queue bit-identical to a private device.
+// Otherwise it adds e to the pending set and returns true.
+func (l *Lane) admitLocked(now time.Time, e *entry) bool {
+	q := l.q
+	e.lane, e.seq, e.arrival = l, l.seq, l.clampLocked(now)
+	l.seq++
+	l.parked = false
+	l.lastArrival = e.arrival
+	if _, ok := q.lanes[l]; ok && len(q.lanes) == 1 && q.depth() == 0 {
+		q.serviceLocked(e)
+		q.settleLocked(e)
+		return false
+	}
+	if e.sync {
+		l.syncPending++
+	}
+	heap.Push(&q.pending, e)
+	if n := q.depth(); n > q.stats.MaxPending {
+		q.stats.MaxPending = n
+	}
+	return true
 }
 
 // clampLocked enforces per-lane arrival monotonicity: a submission never
@@ -424,51 +399,8 @@ func (l *Lane) clampLocked(now time.Time) time.Time {
 	return clock.MaxTime(now, l.lastArrival)
 }
 
-// soleLocked reports whether l is the only registered lane and nothing
-// is pending — the inline fast path that makes a single-lane shared
-// queue bit-identical to a private device.
-func (q *Queue) soleLocked(l *Lane) bool {
-	if q.depth() != 0 || len(q.lanes) != 1 {
-		return false
-	}
-	_, ok := q.lanes[l]
-	return ok
-}
-
-// noteInlineLocked records an inline (sole-lane) serve in the lane and
-// queue state, so a later second lane joins a consistent merge.
-func (q *Queue) noteInlineLocked(l *Lane, arrival, done time.Time, syn bool) {
-	l.parked = false
-	l.lastArrival = arrival
-	q.busy = clock.MaxTime(q.busy, done)
-	q.edge = clock.MaxTime(q.edge, arrival)
-	q.stats.Dispatches++
-	if syn {
-		q.stats.SyncDispatches++
-	} else {
-		q.stats.AsyncDispatches++
-	}
-}
-
-// enqueueLocked appends a pending entry for l arriving at now (already
-// clamped). The caller fills in the kind-specific payload.
-func (q *Queue) enqueueLocked(l *Lane, now time.Time, syn bool) *entry {
-	e := &entry{lane: l, seq: l.seq, arrival: now, sync: syn}
-	l.seq++
-	l.parked = false
-	l.lastArrival = now
-	if syn {
-		l.syncPending++
-	}
-	heap.Push(&q.pending, e)
-	if n := q.depth(); n > q.stats.MaxPending {
-		q.stats.MaxPending = n
-	}
-	return e
-}
-
 // depth is the number of submitted, unserved entries.
-func (q *Queue) depth() int { return len(q.pending) + len(q.arrived) }
+func (q *Queue) depth() int { return len(q.pending) + q.arrived.Len() }
 
 // dispatchLocked serves every entry that is safe to serve; serveLocked
 // wakes each blocked submitter it completes. Called after every state
@@ -494,7 +426,7 @@ func (q *Queue) selectLocked() *entry {
 	// reached by an earlier decision time, and the dispatch made then
 	// pushed busy at least that far, so while one waits S is busy.
 	s := q.busy
-	if len(q.arrived) == 0 {
+	if q.arrived.Len() == 0 {
 		s = clock.MaxTime(s, q.pending[0].arrival)
 	}
 	// The gate: every lane that could still submit must be provably past
@@ -514,70 +446,9 @@ func (q *Queue) selectLocked() *entry {
 		return heap.Pop(&q.pending).(*entry)
 	}
 	for len(q.pending) > 0 && !q.pending[0].arrival.After(s) {
-		e := heap.Pop(&q.pending).(*entry)
-		i, _ := slices.BinarySearchFunc(q.arrived, e, seekCmp)
-		q.arrived = slices.Insert(q.arrived, i, e)
+		q.arrived.Insert(heap.Pop(&q.pending).(*entry))
 	}
-	return q.pickLocked()
-}
-
-// pickLocked removes and returns the arrived entry SSTF or SCAN serves
-// next. Both want the nearest offset on one side of the head or the
-// other: up is the first arrived entry at or past the head, down the
-// first arrived entry at the nearest offset below it. Entries at one offset
-// sit in FCFS order, and a seek tie between the sides falls back to it
-// too, so every choice bottoms out in (arrival, lane id, sequence) — a
-// total order — and is the same whatever the wall-clock submission
-// interleaving was.
-func (q *Queue) pickLocked() *entry {
-	head := q.dev.Head()
-	up := q.firstAtOrPast(head)
-	down := -1
-	if up > 0 {
-		down = q.firstAtOrPast(q.arrived[up-1].offset())
-	}
-	i := up
-	switch {
-	case up == len(q.arrived):
-		i = down
-	case down < 0:
-	case q.policy == simdisk.SSTF:
-		du, dd := q.arrived[up].offset()-head, head-q.arrived[down].offset()
-		if dd < du || dd == du && arrivalLess(q.arrived[down], q.arrived[up]) {
-			i = down
-		}
-	case !q.scanUp && q.arrived[up].offset() != head:
-		// SCAN sweeping down serves the head's own offset, then below it.
-		i = down
-	}
-	e := q.arrived[i]
-	q.arrived = slices.Delete(q.arrived, i, i+1)
-	if q.policy == simdisk.SCAN {
-		// Persist the elevator direction the chosen dispatch implies.
-		if e.offset() > head {
-			q.scanUp = true
-		} else if e.offset() < head {
-			q.scanUp = false
-		}
-	}
-	return e
-}
-
-// firstAtOrPast returns the index of the first arrived entry whose
-// offset is at least off, or len(q.arrived) if there is none.
-func (q *Queue) firstAtOrPast(off int64) int {
-	return sort.Search(len(q.arrived), func(i int) bool { return q.arrived[i].offset() >= off })
-}
-
-// seekCmp is the arrived set's order: leading offset, then arrivalLess.
-func seekCmp(e, b *entry) int {
-	if eo, bo := e.offset(), b.offset(); eo != bo {
-		return cmp.Compare(eo, bo)
-	}
-	if arrivalLess(e, b) {
-		return -1
-	}
-	return 1
+	return q.arrived.Pick(q.dev.Head())
 }
 
 // arrivalLess is the FCFS total order: arrival, then lane id, then the
@@ -612,31 +483,11 @@ func (h *pendingHeap) Pop() any {
 // device at its arrival time; the device's busy horizon converts
 // contention into queueing delay.
 func (q *Queue) serveLocked(e *entry) {
-	switch e.kind {
-	case opRun:
-		e.done, e.service = q.dev.AccessRun(e.arrival, e.run)
-	case opBatch:
-		var svc time.Duration
-		e.results, e.done = q.dev.ServeBatch(e.arrival, e.reqs, e.policy)
-		for _, r := range e.results {
-			svc += r.Service
-		}
-		e.service = svc
-		q.stats.Batches++
-	default:
-		e.done, e.service = q.dev.Access(e.arrival, e.req)
-	}
+	q.serviceLocked(e)
+	q.settleLocked(e)
 	if e.sync {
 		e.lane.syncPending--
 		e.lane.served <- struct{}{}
-	}
-	q.busy = clock.MaxTime(q.busy, e.done)
-	q.edge = clock.MaxTime(q.edge, e.arrival)
-	q.stats.Dispatches++
-	if e.sync {
-		q.stats.SyncDispatches++
-	} else {
-		q.stats.AsyncDispatches++
 	}
 	// Async (write-back) submissions wait behind other lanes' work just
 	// like sync ones do — the delay lands on the flusher instead of a
@@ -644,5 +495,35 @@ func (q *Queue) serveLocked(e *entry) {
 	// accrue. Inline sole-lane serves never wait and add nothing.
 	if w := e.done.Sub(e.arrival) - e.service; w > 0 {
 		q.stats.QueueDelay += w
+	}
+}
+
+// serviceLocked runs e on the device at its arrival time, inline or
+// dispatched alike.
+func (q *Queue) serviceLocked(e *entry) {
+	switch e.kind {
+	case opRun:
+		e.done, e.service = q.dev.AccessRun(e.arrival, e.run)
+	case opBatch:
+		e.results, e.done = q.dev.ServeBatch(e.arrival, e.reqs, e.policy)
+		for _, r := range e.results {
+			e.service += r.Service
+		}
+		q.stats.Batches++
+	default:
+		e.done, e.service = q.dev.Access(e.arrival, e.req)
+	}
+}
+
+// settleLocked records a served entry in the queue's horizons and
+// counters, so a later second lane joins a consistent merge.
+func (q *Queue) settleLocked(e *entry) {
+	q.busy = clock.MaxTime(q.busy, e.done)
+	q.edge = clock.MaxTime(q.edge, e.arrival)
+	q.stats.Dispatches++
+	if e.sync {
+		q.stats.SyncDispatches++
+	} else {
+		q.stats.AsyncDispatches++
 	}
 }

@@ -32,7 +32,6 @@ func storeCalibration() fsim.Config {
 	cfg.Disk = simdisk.Params{
 		Capacity:           8 << 30,
 		TrackToTrackSeek:   200 * time.Microsecond,
-		AvgSeek:            800 * time.Microsecond,
 		FullStrokeSeek:     1500 * time.Microsecond,
 		RPM:                60000, // 1 ms rotation
 		TransferRate:       100 << 20,
